@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 config error, 2 training divergence, 3 I/O error.
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np

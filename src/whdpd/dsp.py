@@ -5,7 +5,7 @@ waveform-level operation here works on one real rail at a time, mirroring
 the per-DA electrical processing of the transmitter.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -21,10 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .dsp import (ConstellationSpec, RrcSpec, SampledSignal, papr_db,
-                  qam_modulate, shape_pulse, snr_db, synchronize)
-from .learn import (DpdArtifact, FitConfig, apply_dpd, artifact_to_dict,
-                    indirect_learn, rescale_artifact)
+from .dsp import (ConstellationSpec, RrcSpec, papr_db, qam_modulate,
+                  shape_pulse, snr_db, synchronize)
+from .learn import (FitConfig, apply_dpd, artifact_to_dict, indirect_learn,
+                    rescale_artifact)
 from .model import SCHEMA_VERSION, WhModel, complexity
 from .txsim import TxChannel, paper_like_preset, simulate_tx, with_seed
 

@@ -1,8 +1,4 @@
-"""Hot numeric kernels with a numba backend and a pure-numpy fallback.
-
-Backend selection: set WHDPD_BACKEND=numpy to force the numpy path,
-WHDPD_BACKEND=numba to require numba (ImportError if missing). Default is
-numba when importable, numpy otherwise.
+"""Hot numeric kernels (numpy).
 
 All FIR kernels implement same-length convolution with zero padding and the
 center tap at index K//2:
@@ -13,176 +9,60 @@ The adjoint kernels are the exact transposes of that linear map, so gradient
 checks against finite differences hold to machine precision.
 """
 
-import os
-
 import numpy as np
-from scipy.signal import fftconvolve
-
-_requested = os.environ.get("WHDPD_BACKEND", "").strip().lower()
-if _requested not in ("", "numba", "numpy"):
-    raise ValueError(f"WHDPD_BACKEND must be 'numba' or 'numpy', got {_requested!r}")
 
 
-# ---------------------------------------------------------------------------
-# numpy reference implementations (always available; used as the fallback
-# backend and by the benchmark)
-# ---------------------------------------------------------------------------
-
-def fir_same_numpy(x, h):
+def fir_same(x, h):
     """Same-length zero-padded convolution, center tap at K//2."""
     c = len(h) // 2
     return np.convolve(x, h)[c:c + len(x)]
 
 
-def fir_grad_input_numpy(g, h):
+def fir_grad_input(g, h):
     """Adjoint of fir_same w.r.t. the input: correlate g with the filter."""
     k = len(h)
     c = k // 2
     return np.convolve(g, h[::-1])[k - 1 - c:k - 1 - c + len(g)]
 
 
-def fir_grad_taps_numpy(g, x, k):
-    """Adjoint of fir_same w.r.t. the taps: correlate g with the input.
+def fir_grad_taps(g, x, k):
+    """Adjoint of fir_same w.r.t. the taps: gh[j] = sum_i g[i] x[i+c-j].
 
-    FFT-based: both operands are signal-length, so direct convolution
-    would be O(N^2) for only K useful outputs.
+    K dot products of length N against the zero-padded input, O(NK); an FFT
+    over the two length-N signals costs more at every K the models use.
     """
     n = len(x)
     c = k // 2
-    return fftconvolve(g, x[::-1])[n - 1 - c:n - 1 - c + k]
+    xp = np.zeros(n + k - 1)
+    xp[k - 1 - c:k - 1 - c + n] = x
+    return np.correlate(xp, g, "valid")[::-1]
 
 
-def poly_apply_numpy(y, orders, coeffs):
+def power(y, m):
+    """y**m for an integer m >= 1 by repeated multiplication; a float array
+    raised to an integer exponent calls pow() per element, ~50x slower."""
+    p = y
+    for _ in range(m - 1):
+        p = p * y
+    return p
+
+
+def poly_apply(y, orders, coeffs):
     """x + sum_m a_m * y**m for the present orders."""
     out = y.copy()
     for m, a in zip(orders, coeffs):
-        out += a * y ** m
+        out += a * power(y, m)
     return out
 
 
-def poly_slope_numpy(y, orders, coeffs):
+def poly_slope(y, orders, coeffs):
     """Elementwise derivative 1 + sum_m m * a_m * y**(m-1)."""
     s = np.ones_like(y)
     for m, a in zip(orders, coeffs):
-        s += m * a * y ** (m - 1)
+        s += m * a * power(y, m - 1)
     return s
 
 
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-_HAVE_NUMBA = False
-if _requested != "numpy":
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:
-        if _requested == "numba":
-            raise
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True, fastmath=True)
-    def _fir_same_nb(x, h):
-        # y[i] = sum_j h[j] x[i+c-j]; pad x so the inner loop is a plain
-        # dot product against the flipped filter (vectorizes cleanly)
-        n = x.shape[0]
-        k = h.shape[0]
-        c = k // 2
-        hf = h[::-1].copy()
-        xp = np.zeros(n + k - 1)
-        xp[k - 1 - c:k - 1 - c + n] = x
-        y = np.empty(n)
-        for i in range(n):
-            acc = 0.0
-            for j in range(k):
-                acc += hf[j] * xp[i + j]
-            y[i] = acc
-        return y
-
-    @njit(cache=True, fastmath=True)
-    def _fir_grad_input_nb(g, h):
-        # gx[m] = sum_j g[m-c+j] h[j]: correlation, padded the same way
-        n = g.shape[0]
-        k = h.shape[0]
-        c = k // 2
-        gp = np.zeros(n + k - 1)
-        gp[c:c + n] = g
-        gx = np.empty(n)
-        for m in range(n):
-            acc = 0.0
-            for j in range(k):
-                acc += gp[m + j] * h[j]
-            gx[m] = acc
-        return gx
-
-    @njit(cache=True, fastmath=True)
-    def _fir_grad_taps_nb(g, x, k):
-        # gh[j] = sum_i g[i] x[i+c-j]: K signal-length dot products
-        n = x.shape[0]
-        c = k // 2
-        xp = np.zeros(n + k - 1)
-        xp[k - 1 - c:k - 1 - c + n] = x
-        gh = np.empty(k)
-        for j in range(k):
-            acc = 0.0
-            base = k - 1 - j
-            for i in range(n):
-                acc += g[i] * xp[base + i]
-            gh[j] = acc
-        return gh
-
-    @njit(cache=True, fastmath=True)
-    def _poly_apply_nb(y, orders, coeffs):
-        out = y.copy()
-        for t in range(orders.shape[0]):
-            m = orders[t]
-            a = coeffs[t]
-            for i in range(y.shape[0]):
-                out[i] += a * y[i] ** m
-        return out
-
-    @njit(cache=True, fastmath=True)
-    def _poly_slope_nb(y, orders, coeffs):
-        s = np.ones(y.shape[0])
-        for t in range(orders.shape[0]):
-            m = orders[t]
-            a = coeffs[t]
-            for i in range(y.shape[0]):
-                s[i] += m * a * y[i] ** (m - 1)
-        return s
-
-    def fir_same(x, h):
-        return _fir_same_nb(np.ascontiguousarray(x), np.ascontiguousarray(h))
-
-    def fir_grad_input(g, h):
-        return _fir_grad_input_nb(np.ascontiguousarray(g), np.ascontiguousarray(h))
-
-    def fir_grad_taps(g, x, k):
-        return _fir_grad_taps_nb(np.ascontiguousarray(g), np.ascontiguousarray(x), k)
-
-    def poly_apply(y, orders, coeffs):
-        return _poly_apply_nb(np.ascontiguousarray(y),
-                              np.asarray(orders, dtype=np.int64),
-                              np.asarray(coeffs, dtype=np.float64))
-
-    def poly_slope(y, orders, coeffs):
-        return _poly_slope_nb(np.ascontiguousarray(y),
-                              np.asarray(orders, dtype=np.int64),
-                              np.asarray(coeffs, dtype=np.float64))
-
-    BACKEND = "numba"
-else:
-    fir_same = fir_same_numpy
-    fir_grad_input = fir_grad_input_numpy
-    fir_grad_taps = fir_grad_taps_numpy
-    poly_apply = poly_apply_numpy
-    poly_slope = poly_slope_numpy
-    BACKEND = "numpy"
-
-
 def backend():
-    """Name of the active kernel backend ('numba' or 'numpy')."""
-    return BACKEND
+    """Name of the kernel implementation; there is one, numpy."""
+    return "numpy"

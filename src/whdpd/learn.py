@@ -8,7 +8,6 @@ length-independent. The training objective is therefore
 (0.5*||y - ref||^2 + ridge * sum(theta^2)) / N.
 """
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,35 +34,66 @@ class WhGradients:
     per_layer: list
 
     def norm(self):
-        total = 0.0
-        for g in self.per_layer:
-            if isinstance(g, dict):
-                total += sum(v * v for v in g.values())
-            else:
-                total += float(np.dot(g, g))
-        return float(np.sqrt(total))
+        g = np.concatenate([_values(e) for e in self.per_layer])
+        return float(np.sqrt(g @ g))
 
 
-def _check_congruent(model, grads):
-    if len(model.layers) != len(grads.per_layer):
+def _values(entry):
+    """One block's coefficients (or their gradient) as a vector: FIR taps
+    as stored, an order->value dict by ascending order."""
+    if isinstance(entry, dict):
+        return np.array([entry[m] for m in sorted(entry)], dtype=np.float64)
+    return np.asarray(entry, dtype=np.float64)
+
+
+def _entries(model):
+    return [b.taps if isinstance(b, FirBlock) else b.coeffs
+            for b in model.layers]
+
+
+def pack(model, per_layer=None):
+    """The model's coefficients as one vector theta, block by block: FIR
+    taps as stored, polynomial coefficients by ascending order.
+
+    Given per_layer (a gradient: an array per FIR block, an order->value
+    dict per polynomial block), packs it in theta's layout instead, after
+    checking that it matches the model block for block.
+    """
+    own = _entries(model)
+    if per_layer is None:
+        per_layer = own
+    if len(per_layer) != len(own):
         raise ValueError("gradient/model block count mismatch")
-    for block, g in zip(model.layers, grads.per_layer):
-        if isinstance(block, FirBlock):
-            if not isinstance(g, np.ndarray) or g.size != block.taps.size:
-                raise ValueError("gradient/model tap count mismatch")
-        else:
-            if not isinstance(g, dict) or set(g) != set(block.coeffs):
+    for mine, entry in zip(own, per_layer):
+        if isinstance(mine, dict):
+            if not isinstance(entry, dict) or set(entry) != set(mine):
                 raise ValueError("gradient/model coefficient keys mismatch")
+        elif np.shape(entry) != mine.shape:
+            raise ValueError("gradient/model tap count mismatch")
+    return np.concatenate([_values(e) for e in per_layer])
+
+
+def unpack(theta, model):
+    """Write theta back into the model's blocks in place (the inverse of
+    pack); returns the model."""
+    theta = np.asarray(theta, dtype=np.float64)
+    if theta.shape != pack(model).shape:
+        raise ValueError("coefficient vector/model size mismatch")
+    pos = 0
+    for block in model.layers:
+        if isinstance(block, FirBlock):
+            block.taps[:] = theta[pos:pos + block.taps.size]
+            pos += block.taps.size
+        else:
+            for m in sorted(block.coeffs):
+                block.coeffs[m] = float(theta[pos])
+                pos += 1
+    return model
 
 
 def model_coeff_sumsq(model):
-    total = 0.0
-    for block in model.layers:
-        if isinstance(block, FirBlock):
-            total += float(np.dot(block.taps, block.taps))
-        else:
-            total += sum(a * a for a in block.coeffs.values())
-    return total
+    theta = pack(model)
+    return float(theta @ theta)
 
 
 def loss(y_out, reference, model=None, ridge=0.0):
@@ -78,14 +108,15 @@ def loss(y_out, reference, model=None, ridge=0.0):
     return e
 
 
-def wh_backward(model, intermediates, reference):
-    """Exact gradients of the normalized data loss w.r.t. every coefficient.
+def wh_backward(model, intermediates, reference, ridge=0.0):
+    """Exact gradients of the normalized loss w.r.t. every coefficient.
 
     intermediates must come from wh_forward on the same model and input: one
     input array per layer plus the final output. FIR gradients are the
     adjoint of the same-length zero-padded convolution (correlation with the
     flipped filter restricted to the same window); polynomial gradients are
-    dE/da_m = sum_n g_n y_n^m with local slope 1 + sum m a_m y^(m-1).
+    dE/da_m = sum_n g_n y_n^m with local slope 1 + sum m a_m y^(m-1). A
+    ridge weight adds its term 2*ridge*theta/N to every coefficient.
     """
     if len(intermediates) != len(model.layers) + 1:
         raise ValueError("intermediates do not match the model")
@@ -94,6 +125,7 @@ def wh_backward(model, intermediates, reference):
     if out.shape != ref.shape:
         raise ValueError("output/reference length mismatch")
     n = out.size
+    decay = 2.0 * ridge / n
     g = (out - ref) / n
     per_layer = [None] * len(model.layers)
     for i in range(len(model.layers) - 1, -1, -1):
@@ -102,29 +134,21 @@ def wh_backward(model, intermediates, reference):
         if x_in.shape != g.shape:
             raise ValueError("intermediates do not match the model")
         if isinstance(block, FirBlock):
-            per_layer[i] = kernels.fir_grad_taps(g, x_in, block.taps.size)
+            per_layer[i] = (kernels.fir_grad_taps(g, x_in, block.taps.size)
+                            + decay * block.taps)
             g = kernels.fir_grad_input(g, block.taps)
         else:
-            ga = {m: float(np.dot(g, x_in ** m)) for m in block.coeffs}
-            per_layer[i] = ga
+            per_layer[i] = {m: float(np.dot(g, kernels.power(x_in, m)))
+                            + decay * a for m, a in block.coeffs.items()}
             if block.coeffs:
                 g = g * kernels.poly_slope(x_in, block.orders(), block.values())
     return WhGradients(per_layer)
 
 
-def add_ridge_gradient(grads, model, ridge, n):
-    """In-place ridge term 2*lambda*theta / n on every coefficient."""
-    for block, g in zip(model.layers, grads.per_layer):
-        if isinstance(block, FirBlock):
-            g += (2.0 * ridge / n) * block.taps
-        else:
-            for m in g:
-                g[m] += (2.0 * ridge / n) * block.coeffs[m]
-
-
 @dataclass
 class AdamState:
-    """Per-coefficient Adam moments plus hyperparameters.
+    """Adam moments over the packed coefficient vector, plus
+    hyperparameters.
 
     Taps and nonlinear coefficients get separate learning rates because
     their magnitudes differ by orders of magnitude in practice.
@@ -136,49 +160,33 @@ class AdamState:
     beta2: float = 0.999
     eps: float = 1e-8
     t: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
+    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     @classmethod
     def for_model(cls, model, **kwargs):
-        state = cls(**kwargs)
-        for block in model.layers:
-            if isinstance(block, FirBlock):
-                state.m.append(np.zeros(block.taps.size))
-                state.v.append(np.zeros(block.taps.size))
-            else:
-                state.m.append({k: 0.0 for k in block.coeffs})
-                state.v.append({k: 0.0 for k in block.coeffs})
-        return state
+        size = pack(model).size
+        return cls(m=np.zeros(size), v=np.zeros(size), **kwargs)
 
 
 def adam_step(state, model, grads, freeze_nonlinear=False):
-    """One bias-corrected Adam update, in place; returns (state, model)."""
-    _check_congruent(model, grads)
-    if len(state.m) != len(model.layers):
-        raise ValueError("state/model block count mismatch")
+    """One bias-corrected Adam update of pack(model), in place; returns
+    (state, model). Taps step with lr_taps, polynomial coefficients with
+    lr_nl, or not at all when frozen."""
+    g = pack(model, grads.per_layer)
+    if state.m.shape != g.shape:
+        raise ValueError("state/model coefficient count mismatch")
+    lr_nl = 0.0 if freeze_nonlinear else state.lr_nl
+    lr = np.repeat([state.lr_taps if isinstance(b, FirBlock) else lr_nl
+                    for b in model.layers],
+                   [len(e) for e in _entries(model)])
     state.t += 1
     b1, b2 = state.beta1, state.beta2
-    c1 = 1.0 - b1 ** state.t
-    c2 = 1.0 - b2 ** state.t
-    for i, block in enumerate(model.layers):
-        g = grads.per_layer[i]
-        if isinstance(block, FirBlock):
-            state.m[i] = b1 * state.m[i] + (1.0 - b1) * g
-            state.v[i] = b2 * state.v[i] + (1.0 - b2) * g ** 2
-            m_hat = state.m[i] / c1
-            v_hat = state.v[i] / c2
-            block.taps -= state.lr_taps * m_hat / (np.sqrt(v_hat) + state.eps)
-        else:
-            if freeze_nonlinear:
-                continue
-            for k in block.coeffs:
-                gm = g[k]
-                state.m[i][k] = b1 * state.m[i][k] + (1.0 - b1) * gm
-                state.v[i][k] = b2 * state.v[i][k] + (1.0 - b2) * gm ** 2
-                m_hat = state.m[i][k] / c1
-                v_hat = state.v[i][k] / c2
-                block.coeffs[k] -= state.lr_nl * m_hat / (np.sqrt(v_hat) + state.eps)
+    state.m = b1 * state.m + (1.0 - b1) * g
+    state.v = b2 * state.v + (1.0 - b2) * g ** 2
+    m_hat = state.m / (1.0 - b1 ** state.t)
+    v_hat = state.v / (1.0 - b2 ** state.t)
+    unpack(pack(model) - lr * m_hat / (np.sqrt(v_hat) + state.eps), model)
     return state, model
 
 
@@ -193,7 +201,6 @@ class FitConfig:
     tol: float = 1e-9          # relative loss change over tol_window iterations
     tol_window: int = 10
     ridge: float = 0.0
-    seed: int = 0
     freeze_nonlinear: bool = False
 
     def __post_init__(self):
@@ -273,9 +280,7 @@ def fit_postestimator(received, reference, init, cfg):
         if j < best_loss:
             best_loss = j
             best_model = model.copy()
-        grads = wh_backward(model, inter, reference)
-        if cfg.ridge > 0.0:
-            add_ridge_gradient(grads, model, cfg.ridge, n)
+        grads = wh_backward(model, inter, reference, cfg.ridge)
         history.append((it, j, grads.norm()))
         losses.append(j)
         adam_step(state, model, grads, cfg.freeze_nonlinear)
@@ -324,6 +329,9 @@ def apply_dpd(artifact, x):
                 raise ValueError("artifact has no positive stored amplitude "
                                  f"for nonlinear block {i}")
             peak = float(np.max(np.abs(sig.samples)))
+            if peak == 0:
+                raise ValueError(f"signal entering nonlinear block {i} is all "
+                                 "zero")
             s = amp / peak
             scaled = sig.with_samples(sig.samples * s)
             sig = nl_apply(block, scaled)

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .dsp import SampledSignal
 
 SCHEMA_VERSION = "whdpd-1"
 

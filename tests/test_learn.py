@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from whdpd.dsp import SampledSignal, snr_db, synchronize
-from whdpd.kernels import fir_grad_input, fir_same
-from whdpd.learn import (AdamState, FitConfig, TrainingDivergedError,
-                         adam_step, apply_dpd, artifact_from_dict,
-                         artifact_to_dict, fit_postestimator, indirect_learn,
-                         loss, rescale_artifact, rescale_nl_coeff,
+from whdpd.kernels import fir_grad_input, fir_grad_taps, fir_same
+from whdpd.learn import (AdamState, DpdArtifact, FitConfig,
+                         TrainingDivergedError, WhGradients, adam_step,
+                         apply_dpd, artifact_from_dict, artifact_to_dict,
+                         fit_postestimator, indirect_learn, loss, pack,
+                         rescale_artifact, rescale_nl_coeff, unpack,
                          wh_backward)
 from whdpd.model import (FirBlock, PolyNlBlock, WhModel, nl_apply,
                          wh_forward)
@@ -151,6 +154,24 @@ def test_adjoint_consistency():
         assert abs(lhs - rhs) < 1e-10
 
 
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 64), k=st.integers(1, 80),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(n=5, k=15, seed=0)
+@example(n=1, k=2, seed=0)
+@example(n=3, k=80, seed=0)
+def test_fir_adjoints_all_shapes(n, k, seed):
+    # <fir_same(x, h), g> = <x, fir_grad_input(g, h)> = <h, fir_grad_taps(g, x, K)>
+    # for every N and K, including even K and K > N
+    rng = np.random.default_rng(seed)
+    x, g, h = rng.normal(size=n), rng.normal(size=n), rng.normal(size=k)
+    gh = fir_grad_taps(g, x, k)
+    assert gh.shape == (k,)
+    y = np.dot(fir_same(x, h), g)
+    assert np.dot(x, fir_grad_input(g, h)) == pytest.approx(y, abs=1e-10)
+    assert np.dot(h, gh) == pytest.approx(y, abs=1e-10)
+
+
 # --- Adam -----------------------------------------------------------------
 
 def test_adam_zero_gradient_keeps_model():
@@ -203,6 +224,62 @@ def test_adam_rejects_shape_mismatch():
     state = AdamState.for_model(model)
     with pytest.raises(ValueError):
         adam_step(state, model, WhGradients([np.array([1.0])]))
+
+
+def _fir_poly_fir():
+    return WhModel([FirBlock([0.1, 1.0, -0.2]), PolyNlBlock({3: 0.05, 2: -0.02}),
+                    FirBlock([0.3, 0.9])])
+
+
+def test_pack_unpack_round_trip():
+    model = _fir_poly_fir()
+    theta = pack(model)
+    # taps as stored, then the coefficients by ascending order
+    assert np.array_equal(theta, [0.1, 1.0, -0.2, -0.02, 0.05, 0.3, 0.9])
+    other = WhModel([FirBlock(np.zeros(3)), PolyNlBlock({3: 0.0, 2: 0.0}),
+                     FirBlock(np.zeros(2))])
+    unpack(theta, other)
+    assert np.array_equal(other.layers[0].taps, model.layers[0].taps)
+    assert other.layers[1].coeffs == model.layers[1].coeffs
+    assert list(other.layers[1].coeffs) == [3, 2]
+    assert np.array_equal(other.layers[2].taps, model.layers[2].taps)
+    assert np.array_equal(pack(other), theta)
+    with pytest.raises(ValueError):
+        unpack(theta[:-1], other)
+
+
+def test_adam_step_matches_per_coefficient_recurrence():
+    model = _fir_poly_fir()
+    before = model.copy()
+    grads = WhGradients([np.array([0.3, -1.2, 0.05]), {3: -0.7, 2: 2.5},
+                         np.array([-0.4, 0.8])])
+    lr_taps, lr_nl = 0.01, 0.002
+    state = AdamState.for_model(model, lr_taps=lr_taps, lr_nl=lr_nl)
+    adam_step(state, model, grads)
+    # first step from zero moments, one coefficient at a time
+    pairs = ([(before.layers[0].taps[k], grads.per_layer[0][k], lr_taps,
+               model.layers[0].taps[k]) for k in range(3)]
+             + [(before.layers[1].coeffs[m], grads.per_layer[1][m], lr_nl,
+                 model.layers[1].coeffs[m]) for m in (3, 2)]
+             + [(before.layers[2].taps[k], grads.per_layer[2][k], lr_taps,
+                 model.layers[2].taps[k]) for k in range(2)])
+    for theta, g, lr, got in pairs:
+        m = 0.1 * g
+        v = 0.001 * g * g
+        expected = theta - lr * (m / 0.1) / (np.sqrt(v / 0.001) + 1e-8)
+        assert got == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+
+def test_adam_step_frozen_nonlinearity_is_bitwise_unchanged():
+    model = _fir_poly_fir()
+    coeffs = dict(model.layers[1].coeffs)
+    taps = model.layers[0].taps.copy()
+    grads = WhGradients([np.ones(3), {3: -0.7, 2: 2.5}, np.ones(2)])
+    state = AdamState.for_model(model)
+    for _ in range(3):
+        adam_step(state, model, grads, freeze_nonlinear=True)
+    assert model.layers[1].coeffs == coeffs
+    assert not np.array_equal(model.layers[0].taps, taps)
 
 
 def test_monotone_descent_smoke():
@@ -277,6 +354,17 @@ def test_fit_ridge_shrinks_coefficients():
                              FitConfig(iterations=300, ridge=10.0))
     from whdpd.learn import model_coeff_sumsq
     assert model_coeff_sumsq(art1.model) < model_coeff_sumsq(art0.model)
+
+
+def test_fit_capture_shorter_than_half_filter():
+    # K//2 >= N: the tap gradient must still have K entries
+    rng = np.random.default_rng(20)
+    ref = sig(rng.normal(size=5), 2)
+    received = sig(ref.samples + 0.1 * rng.normal(size=5), 2)
+    art = fit_postestimator(received, ref, WhModel.lnl(15, 15),
+                            FitConfig(iterations=20))
+    assert art.model.layers[0].taps.size == 15
+    assert art.final_loss <= loss(received, ref) / 5
 
 
 def test_fit_divergence_raises_with_iteration():
@@ -379,6 +467,15 @@ def test_apply_dpd_rejects_bad_inputs():
     art2 = _trained_artifact(a=0.1, amp=1.0)
     with pytest.raises(ValueError):
         apply_dpd(art2, sig(np.zeros(8)))
+
+
+def test_apply_dpd_names_block_with_all_zero_input():
+    model = WhModel([FirBlock(np.zeros(5)), PolyNlBlock.cubic(0.1),
+                     FirBlock.identity(5)])
+    art = DpdArtifact(model=model, nl_input_amplitudes={1: 0.8},
+                      final_loss=0.0, iterations=0)
+    with pytest.raises(ValueError, match="nonlinear block 1"):
+        apply_dpd(art, sig(np.ones(8)))
 
 
 # --- coefficient rescaling ------------------------------------------------
