@@ -102,6 +102,12 @@ def cmd_sweep(args):
               f"snr={row['snr_db']:.2f} dB out_rms={row['out_rms']:.4f} "
               f"papr={row['papr_db']:.2f} dB")
     print(f"report written to {Path(args.out) / 'report.csv'}")
+    diverged = f"!error:{TrainingDivergedError.__name__}"
+    failed = [row for row in report.rows if row["mode"].endswith(diverged)]
+    if failed:
+        print(f"error: training diverged at {len(failed)} sweep point(s)",
+              file=sys.stderr)
+        return EXIT_DIVERGED
     return EXIT_OK
 
 

@@ -235,9 +235,11 @@ def sweep_amplitude_with_fixed_dpd(cfg, artifact, rescale=False, out_dir=None):
 def matched_rms_comparison(cfg, drive, rms_tol_db=0.2, max_iter=40):
     """Compare WH vs linear-only DPD at matched channel-output RMS.
 
-    Trains both modes at `drive`, then adjusts the WH drive until its
-    channel-output RMS matches the linear-only run's within rms_tol_db.
-    Returns a dict with both SNRs and the matched operating points.
+    Trains both modes at `drive`, then bisects the WH drive over
+    [0.3*drive, 3*drive] until its channel-output RMS matches the
+    linear-only run's within rms_tol_db. Returns a dict with both SNRs and
+    the matched operating points; raises ValueError when no drive within
+    max_iter bisection steps matches.
     """
     bench = Workbench(cfg)
     lin_art = bench.train(drive, freeze_nonlinear=True)
@@ -248,17 +250,24 @@ def matched_rms_comparison(cfg, drive, rms_tol_db=0.2, max_iter=40):
     lo, hi = 0.3 * drive, 3.0 * drive
     v = drive
     wh = bench.evaluate(wh_art, v)
+    gap_db = 10.0 * math.log10(wh["out_rms"] / target)
     for _ in range(max_iter):
-        diff_db = 10.0 * math.log10(wh["out_rms"] / target)
-        if abs(diff_db) <= rms_tol_db:
+        if abs(gap_db) <= rms_tol_db:
             break
-        if diff_db < 0:
+        if gap_db < 0:
             lo = v
         else:
             hi = v
         v = 0.5 * (lo + hi)
         wh = bench.evaluate(wh_art, v)
+        gap_db = 10.0 * math.log10(wh["out_rms"] / target)
+    if abs(gap_db) > rms_tol_db:
+        raise ValueError(
+            f"no WH drive in [{0.3 * drive:.6g}, {3.0 * drive:.6g}] matched "
+            f"the linear-only output RMS {target:.6g} within {rms_tol_db} dB "
+            f"after {max_iter} bisection steps: last drive {v:.6g} "
+            f"(bracket [{lo:.6g}, {hi:.6g}]) left a gap of {gap_db:+.4g} dB")
     return {"linear_snr_db": lin["snr_db"], "wh_snr_db": wh["snr_db"],
             "linear_v_in": drive, "wh_v_in": v,
             "linear_out_rms": target, "wh_out_rms": wh["out_rms"],
-            "rms_gap_db": 10.0 * math.log10(wh["out_rms"] / target)}
+            "rms_gap_db": gap_db}

@@ -61,7 +61,7 @@ def pack(model, per_layer=None):
     """
     own = _entries(model)
     if per_layer is None:
-        per_layer = own
+        return np.concatenate([_values(e) for e in own])
     if len(per_layer) != len(own):
         raise ValueError("gradient/model block count mismatch")
     for mine, entry in zip(own, per_layer):
@@ -77,7 +77,7 @@ def unpack(theta, model):
     """Write theta back into the model's blocks in place (the inverse of
     pack); returns the model."""
     theta = np.asarray(theta, dtype=np.float64)
-    if theta.shape != pack(model).shape:
+    if theta.shape != (sum(len(e) for e in _entries(model)),):
         raise ValueError("coefficient vector/model size mismatch")
     pos = 0
     for block in model.layers:
@@ -133,14 +133,17 @@ def wh_backward(model, intermediates, reference, ridge=0.0):
         x_in = intermediates[i]
         if x_in.shape != g.shape:
             raise ValueError("intermediates do not match the model")
+        # at i == 0, g would become the gradient w.r.t. the model input,
+        # which nothing reads
         if isinstance(block, FirBlock):
             per_layer[i] = (kernels.fir_grad_taps(g, x_in, block.taps.size)
                             + decay * block.taps)
-            g = kernels.fir_grad_input(g, block.taps)
+            if i > 0:
+                g = kernels.fir_grad_input(g, block.taps)
         else:
             per_layer[i] = {m: float(np.dot(g, kernels.power(x_in, m)))
                             + decay * a for m, a in block.coeffs.items()}
-            if block.coeffs:
+            if i > 0 and block.coeffs:
                 g = g * kernels.poly_slope(x_in, block.orders(), block.values())
     return WhGradients(per_layer)
 

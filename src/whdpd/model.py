@@ -7,7 +7,6 @@ center tap at index K//2, so a unit-impulse filter with odd K is exactly
 the identity.
 """
 
-import copy
 import json
 from dataclasses import dataclass, field
 
@@ -89,7 +88,9 @@ class WhModel:
                     FirBlock.identity(k2)])
 
     def copy(self):
-        return copy.deepcopy(self)
+        """Independent copy: new tap arrays and coefficient dicts."""
+        return WhModel([FirBlock(b.taps.copy()) if isinstance(b, FirBlock)
+                        else PolyNlBlock(dict(b.coeffs)) for b in self.layers])
 
 
 @dataclass

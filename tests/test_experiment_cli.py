@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from whdpd.cli import main
-from whdpd.experiment import (ExperimentConfig, Workbench, run_experiment,
+from whdpd.experiment import (ExperimentConfig, Workbench,
+                              matched_rms_comparison, run_experiment,
                               sweep_amplitude_with_fixed_dpd)
 from whdpd.learn import FitConfig
-from whdpd.txsim import SaturationSpec, TxChannel, save_channel
+from whdpd.txsim import (SaturationSpec, TxChannel, paper_like_preset,
+                         save_channel)
 
 
 def tiny_cfg(**over):
@@ -206,6 +208,24 @@ def test_cli_exit_codes(tmp_path):
     assert main(["simulate", "--preset", "paper-like",
                  "--input", str(tmp_path / "missing.csv"),
                  "--output", str(tmp_path / "o.csv")]) == 3
+
+
+def test_cli_sweep_exits_2_on_divergence_and_keeps_report(tmp_path):
+    cfg_path = write_config(tmp_path / "div.json",
+                            fit={"iterations": 30, "lr_taps": 1e120})
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["sweep", "--config", str(cfg_path),
+                   "--preset", "paper-like", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    lines = (tmp_path / "o" / "report.csv").read_text().splitlines()
+    assert len(lines) == 4
+    assert any("!error:TrainingDivergedError" in line for line in lines)
+
+
+def test_matched_rms_comparison_raises_when_unmatched():
+    cfg = tiny_cfg(channel=paper_like_preset())
+    with pytest.raises(ValueError, match=r"output RMS .* gap of"):
+        matched_rms_comparison(cfg, drive=0.9, rms_tol_db=1e-12, max_iter=1)
 
 
 # --- behavioral properties on the saturating preset -----------------------

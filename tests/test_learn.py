@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from whdpd import kernels
 from whdpd.dsp import SampledSignal, snr_db, synchronize
 from whdpd.kernels import fir_grad_input, fir_grad_taps, fir_same
 from whdpd.learn import (AdamState, DpdArtifact, FitConfig,
@@ -170,6 +171,37 @@ def test_fir_adjoints_all_shapes(n, k, seed):
     y = np.dot(fir_same(x, h), g)
     assert np.dot(x, fir_grad_input(g, h)) == pytest.approx(y, abs=1e-10)
     assert np.dot(h, gh) == pytest.approx(y, abs=1e-10)
+
+
+@pytest.mark.parametrize("k", (1, 2, 15, 16, 17, 80, 401))
+@pytest.mark.parametrize("n", (1, 15, 16, 17, 31, 33, 1000))
+def test_fir_kernels_match_direct_convolution(n, k):
+    # the blocked-GEMM kernels against the full convolution they window;
+    # the sizes straddle the block length max(K-1, 16) and include K > N
+    rng = np.random.default_rng(1000 * n + k)
+    x, g, h = rng.normal(size=n), rng.normal(size=n), rng.normal(size=k)
+    c = k // 2
+    pairs = ((fir_same(x, h), np.convolve(x, h)[c:c + n]),
+             (fir_grad_input(g, h),
+              np.convolve(g, h[::-1])[k - 1 - c:k - 1 - c + n]))
+    for got, ref in pairs:
+        assert got.shape == (n,)
+        np.testing.assert_allclose(got, ref, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(ref)))
+
+
+def test_backward_skips_input_gradient_of_first_block(monkeypatch):
+    # the adjoint through layer 0 would be the gradient w.r.t. the model
+    # input, which nothing reads
+    calls = []
+    real = kernels.fir_grad_input
+    monkeypatch.setattr(kernels, "fir_grad_input",
+                        lambda g, h: calls.append(len(h)) or real(g, h))
+    model = WhModel.lnl(5, 3, a=0.1)
+    x = sig(np.random.default_rng(6).normal(size=32))
+    _, inter = wh_forward(model, x)
+    wh_backward(model, inter, x)
+    assert calls == [3]
 
 
 # --- Adam -----------------------------------------------------------------

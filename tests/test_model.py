@@ -137,6 +137,20 @@ def test_forward_matches_straight_line_reimplementation():
     assert np.max(np.abs(out.samples - y)) < 1e-12
 
 
+def test_copy_is_independent_of_original():
+    model = WhModel([FirBlock([0.1, 1.0, -0.2]),
+                     PolyNlBlock({3: 0.05, 2: -0.02}), FirBlock([0.3])])
+    dup = model.copy()
+    assert model_to_dict(dup) == model_to_dict(model)
+    assert list(dup.layers[1].coeffs) == [3, 2]
+    dup.layers[0].taps[1] = 7.0
+    dup.layers[1].coeffs[3] = 9.0
+    dup.layers[2].taps[:] = 0.0
+    assert np.array_equal(model.layers[0].taps, [0.1, 1.0, -0.2])
+    assert model.layers[1].coeffs == {3: 0.05, 2: -0.02}
+    assert np.array_equal(model.layers[2].taps, [0.3])
+
+
 # --- complexity -----------------------------------------------------------
 
 def test_complexity_paper_configuration():
