@@ -12,10 +12,9 @@ from pathlib import Path
 import numpy as np
 
 from .dsp import SampledSignal
-from .experiment import (ExperimentConfig, run_experiment,
-                         sweep_amplitude_with_fixed_dpd, _write_training_log)
-from .learn import (FitConfig, TrainingDivergedError, artifact_from_dict,
-                    artifact_to_dict)
+from .experiment import (ExperimentConfig, Workbench, run_experiment,
+                         save_artifact, sweep_amplitude_with_fixed_dpd)
+from .learn import FitConfig, TrainingDivergedError, artifact_from_dict
 from .model import complexity, load_model
 from .txsim import (channel_from_dict, load_channel, paper_like_preset,
                     simulate_tx)
@@ -26,6 +25,9 @@ EXIT_DIVERGED = 2
 EXIT_IO = 3
 
 PRESETS = {"paper-like": paper_like_preset}
+
+CONFIG_KEYS = frozenset({"signal", "model", "fit", "sweep", "channel", "seed",
+                         "train_amplitude"})
 
 
 class ConfigError(ValueError):
@@ -38,12 +40,18 @@ def _load_json(path):
 
 
 def build_config(doc, seed=None, preset=None):
-    """ExperimentConfig from a JSON config document plus CLI overrides."""
+    """ExperimentConfig from a JSON config document plus CLI overrides.
+    Section keys are ExperimentConfig (signal, model, sweep) and FitConfig
+    (fit) field names; an unknown or repeated key raises."""
     doc = doc or {}
-    sig = doc.get("signal", {})
-    fit = FitConfig(**doc.get("fit", {}))
-    model = doc.get("model", {})
-    sweep = doc.get("sweep", {})
+    unknown = sorted(set(doc) - CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config key(s) {unknown}; "
+                          f"allowed: {sorted(CONFIG_KEYS)}")
+    fit = doc.get("fit", {})
+    if "freeze_nonlinear" in fit:
+        raise ConfigError("fit.freeze_nonlinear is set per run: use the "
+                          "'linear' sweep mode or train --linear-only")
 
     channel_doc = doc.get("channel", "paper-like")
     if preset is not None:
@@ -55,24 +63,10 @@ def build_config(doc, seed=None, preset=None):
     else:
         channel = channel_from_dict({"channel": channel_doc})
 
-    kwargs = dict(
-        order=sig.get("order", 16),
-        n_symbols=sig.get("n_symbols", 8192),
-        rolloff=sig.get("rolloff", 0.2),
-        samples_per_symbol=sig.get("samples_per_symbol", 2),
-        span_symbols=sig.get("span_symbols", 16),
-        seed=doc.get("seed", 0),
-        channel=channel,
-        k1=model.get("k1", 15),
-        k2=model.get("k2", 15),
-        fit=fit)
-    if "amplitudes" in sweep:
-        kwargs["amplitudes"] = tuple(sweep["amplitudes"])
-    if "modes" in sweep:
-        kwargs["modes"] = tuple(sweep["modes"])
-    cfg = ExperimentConfig(**kwargs)
-    if seed is not None:
-        cfg.seed = seed
+    cfg = ExperimentConfig(**doc.get("signal", {}), **doc.get("model", {}),
+                           **doc.get("sweep", {}),
+                           seed=doc.get("seed", 0) if seed is None else seed,
+                           channel=channel, fit=FitConfig(**fit))
     return cfg, doc
 
 
@@ -80,14 +74,10 @@ def cmd_train(args):
     doc = _load_json(args.config) if args.config else {}
     cfg, doc = build_config(doc, args.seed, args.preset)
     v = doc.get("train_amplitude", cfg.amplitudes[0])
-    from .experiment import Workbench
-    bench = Workbench(cfg)
-    artifact = bench.train(v, freeze_nonlinear=args.linear_only)
+    artifact = Workbench(cfg).train(v, freeze_nonlinear=args.linear_only)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "artifact.json", "w") as f:
-        json.dump(artifact_to_dict(artifact), f, indent=2)
-    _write_training_log(artifact, out / "training_log.csv")
+    save_artifact(artifact, out / "artifact.json", out / "training_log.csv")
     print(f"trained at drive {v}: final loss {artifact.final_loss:.6g} "
           f"after {artifact.iterations} iterations")
     return EXIT_OK

@@ -26,13 +26,13 @@ from .dsp import (ConstellationSpec, RrcSpec, papr_db, qam_modulate,
 from .learn import (FitConfig, apply_dpd, artifact_to_dict, indirect_learn,
                     rescale_artifact)
 from .model import SCHEMA_VERSION, WhModel, complexity
-from .txsim import TxChannel, paper_like_preset, simulate_tx, with_seed
+from .txsim import TxChannel, paper_like_preset, simulate_tx
 
 MODES = ("no-dpd", "linear", "wh")
 
 CSV_COLUMNS = ("schema_version", "v_in", "mode", "out_rms", "snr_db",
                "papr_db", "final_loss", "iterations", "mults_per_sample",
-               "adds_per_sample")
+               "adds_per_sample", "error")
 
 
 @dataclass
@@ -57,6 +57,7 @@ class ExperimentConfig:
         if any(b <= a for a, b in zip(amps, amps[1:])):
             raise ValueError("amplitude grid must be strictly increasing")
         self.amplitudes = amps
+        self.modes = tuple(self.modes)
         for m in self.modes:
             if m not in MODES:
                 raise ValueError(f"unknown mode {m!r}")
@@ -91,6 +92,8 @@ def _fmt(v):
 
 
 def scale_to_peak(samples, peak):
+    if not peak > 0:
+        raise ValueError(f"drive amplitude must be > 0, got {peak!r}")
     m = float(np.max(np.abs(samples)))
     if m == 0:
         raise ValueError("cannot scale an all-zero signal")
@@ -111,7 +114,8 @@ class Workbench:
         self.reference = self.i_rail.samples + 1j * self.q_rail.samples
 
     def _channel_fn(self, seed_offset=0):
-        ch = with_seed(self.cfg.channel, self.cfg.channel.seed + seed_offset)
+        ch = self.cfg.channel
+        ch = replace(ch, seed=ch.seed + seed_offset)
         return lambda sig: simulate_tx(ch, sig)
 
     def train(self, v_in, freeze_nonlinear=False):
@@ -150,17 +154,31 @@ class Workbench:
             artifact = self.train(v_in, freeze_nonlinear=True)
         elif mode == "wh":
             artifact = self.train(v_in)
-        m = self.evaluate(artifact, v_in)
-        row = {"schema_version": SCHEMA_VERSION, "v_in": v_in, "mode": mode,
-               "final_loss": float("nan"), "iterations": 0,
-               "mults_per_sample": 0, "adds_per_sample": 0, **m}
-        if artifact is not None:
-            rep = complexity(artifact.model)
-            row.update(final_loss=artifact.final_loss,
-                       iterations=artifact.iterations,
-                       mults_per_sample=rep.multiplications_per_sample,
-                       adds_per_sample=rep.additions_per_sample)
+        row = _row(v_in, mode, self.evaluate(artifact, v_in), artifact)
         return row, artifact
+
+
+def _row(v_in, mode, metrics=None, artifact=None, error=None):
+    """One report row. Without metrics or an artifact the measurements are
+    NaN and the counts 0; an error marks the mode as mode!error:<Type> and
+    fills the error column with its message."""
+    nan = float("nan")
+    row = {"schema_version": SCHEMA_VERSION, "v_in": v_in, "mode": mode,
+           "out_rms": nan, "snr_db": nan, "papr_db": nan, "final_loss": nan,
+           "iterations": 0, "mults_per_sample": 0, "adds_per_sample": 0,
+           "error": ""}
+    if metrics is not None:
+        row.update(metrics)
+    if artifact is not None:
+        rep = complexity(artifact.model)
+        row.update(final_loss=artifact.final_loss,
+                   iterations=artifact.iterations,
+                   mults_per_sample=rep.multiplications_per_sample,
+                   adds_per_sample=rep.additions_per_sample)
+    if error is not None:
+        row.update(mode=f"{mode}!error:{type(error).__name__}",
+                   error=str(error))
+    return row
 
 
 def run_experiment(cfg, out_dir=None):
@@ -177,30 +195,26 @@ def run_experiment(cfg, out_dir=None):
             try:
                 row, artifact = bench.run_point(v, mode)
             except Exception as exc:
-                rows.append({"schema_version": SCHEMA_VERSION, "v_in": v,
-                             "mode": f"{mode}!error:{type(exc).__name__}",
-                             "out_rms": float("nan"),
-                             "snr_db": float("nan"),
-                             "papr_db": float("nan"),
-                             "final_loss": float("nan"), "iterations": 0,
-                             "mults_per_sample": 0, "adds_per_sample": 0})
+                rows.append(_row(v, mode, error=exc))
                 continue
             rows.append(row)
             if artifact is not None:
                 artifacts[(v, mode)] = artifact
                 if out is not None:
-                    stem = f"artifact_{mode}_v{_fmt(float(v))}"
-                    with open(out / f"{stem}.json", "w") as f:
-                        json.dump(artifact_to_dict(artifact), f, indent=2)
-                    _write_training_log(artifact, out / f"{stem}_log.csv")
+                    stem = out / f"artifact_{mode}_v{_fmt(float(v))}"
+                    save_artifact(artifact, f"{stem}.json", f"{stem}_log.csv")
     report = SweepReport(rows)
     if out is not None:
         report.to_csv(out / "report.csv")
     return report, artifacts
 
 
-def _write_training_log(artifact, path):
-    with open(path, "w", newline="") as f:
+def save_artifact(artifact, path, log_path):
+    """Write the artifact as JSON to path and its training log as CSV
+    (iteration, loss, gradient norm) to log_path."""
+    with open(path, "w") as f:
+        json.dump(artifact_to_dict(artifact), f, indent=2)
+    with open(log_path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["schema_version", "iteration", "loss", "grad_norm"])
         for it, j, gn in artifact.history:
@@ -213,17 +227,11 @@ def sweep_amplitude_with_fixed_dpd(cfg, artifact, rescale=False, out_dir=None):
     the drive change."""
     bench = Workbench(cfg)
     v0 = cfg.amplitudes[0]
+    mode = "wh-fixed-rescaled" if rescale else "wh-fixed"
     rows = []
     for v in cfg.amplitudes:
         art = rescale_artifact(artifact, v / v0) if rescale else artifact
-        m = bench.evaluate(art, v)
-        rep = complexity(art.model)
-        rows.append({"schema_version": SCHEMA_VERSION, "v_in": v,
-                     "mode": "wh-fixed-rescaled" if rescale else "wh-fixed",
-                     "final_loss": artifact.final_loss,
-                     "iterations": artifact.iterations,
-                     "mults_per_sample": rep.multiplications_per_sample,
-                     "adds_per_sample": rep.additions_per_sample, **m})
+        rows.append(_row(v, mode, bench.evaluate(art, v), art))
     report = SweepReport(rows)
     if out_dir is not None:
         out = Path(out_dir)

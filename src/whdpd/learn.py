@@ -272,31 +272,27 @@ def fit_postestimator(received, reference, init, cfg):
                                 beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
     n = received.samples.size
     history = []
-    losses = []
     best_loss = np.inf
-    best_model = model.copy()
+    best_model, best_inter = model.copy(), None
     for it in range(cfg.iterations):
         out, inter = wh_forward(model, received)
         j = loss(out, reference, model, cfg.ridge) / n
         if not np.isfinite(j):
             raise TrainingDivergedError(it)
         if j < best_loss:
-            best_loss = j
-            best_model = model.copy()
+            best_loss, best_model, best_inter = j, model.copy(), inter
         grads = wh_backward(model, inter, reference, cfg.ridge)
         history.append((it, j, grads.norm()))
-        losses.append(j)
         adam_step(state, model, grads, cfg.freeze_nonlinear)
         w = cfg.tol_window
         if it >= w:
-            prev = losses[-1 - w]
-            if prev > 0 and abs(losses[-1] - prev) / prev < cfg.tol:
+            prev = history[-1 - w][1]
+            if prev > 0 and abs(j - prev) / prev < cfg.tol:
                 break
-    out, inter = wh_forward(best_model, received)
-    final_loss = loss(out, reference, best_model, cfg.ridge) / n
     return DpdArtifact(model=best_model,
-                       nl_input_amplitudes=_nl_input_amplitudes(best_model, inter),
-                       final_loss=final_loss,
+                       nl_input_amplitudes=_nl_input_amplitudes(best_model,
+                                                                best_inter),
+                       final_loss=best_loss,
                        iterations=len(history),
                        history=history)
 

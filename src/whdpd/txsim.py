@@ -11,7 +11,7 @@ cubic, keeping the same model mismatch the lab experiment had.
 """
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.signal import firwin
@@ -137,10 +137,6 @@ def paper_like_preset(seed=0):
         mzm=None,
         noise_snr_db=35.0,
         seed=seed)
-
-
-def with_seed(channel, seed):
-    return replace(channel, seed=seed)
 
 
 # ---------------------------------------------------------------------------

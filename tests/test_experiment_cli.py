@@ -1,9 +1,11 @@
+import csv
 import json
+import re
 
 import numpy as np
 import pytest
 
-from whdpd.cli import main
+from whdpd.cli import ConfigError, build_config, main
 from whdpd.experiment import (ExperimentConfig, Workbench,
                               matched_rms_comparison, run_experiment,
                               sweep_amplitude_with_fixed_dpd)
@@ -103,6 +105,24 @@ def test_error_rows_are_flushed():
     assert "no-dpd" in modes
     assert any(m.startswith("linear!error") or m.startswith("wh!error")
                for m in modes)
+
+
+def test_error_column_holds_the_message(tmp_path):
+    cfg = tiny_cfg(fit=FitConfig(iterations=30, lr_taps=1e120))
+    with np.errstate(over="ignore", invalid="ignore"):
+        report, _ = run_experiment(cfg, out_dir=tmp_path)
+    failed = [r for r in report.rows if "!error:" in r["mode"]]
+    assert failed
+    for row in failed:
+        assert row["mode"].endswith("!error:TrainingDivergedError")
+        assert re.fullmatch(r"training diverged at iteration \d+",
+                            row["error"])
+    with open(tmp_path / "report.csv", newline="") as f:
+        lines = list(csv.reader(f))
+    assert lines[0][-1] == "error"
+    by_mode = {line[2]: line[-1] for line in lines[1:]}
+    assert by_mode["no-dpd"] == ""
+    assert all(by_mode[r["mode"]] == r["error"] for r in failed)
 
 
 # --- fixed-artifact sweep -------------------------------------------------
@@ -208,6 +228,56 @@ def test_cli_exit_codes(tmp_path):
     assert main(["simulate", "--preset", "paper-like",
                  "--input", str(tmp_path / "missing.csv"),
                  "--output", str(tmp_path / "o.csv")]) == 3
+
+
+def test_build_config_maps_sections_onto_fields():
+    cfg, _ = build_config({"signal": {"n_symbols": 64, "rolloff": 0.3},
+                           "model": {"k1": 5},
+                           "sweep": {"amplitudes": [0.5], "modes": ["wh"]},
+                           "seed": 4})
+    assert (cfg.n_symbols, cfg.rolloff, cfg.k1, cfg.k2) == (64, 0.3, 5, 15)
+    assert cfg.amplitudes == (0.5,) and cfg.modes == ("wh",)
+    assert cfg.seed == 4
+    assert build_config({"seed": 4}, seed=9)[0].seed == 9
+
+
+@pytest.mark.parametrize("doc", [
+    {"signal": {"n_symbol": 64}},
+    {"model": {"k": 7}},
+    {"sweep": {"amplitude": [0.5]}},
+    {"signal": {"seed": 1}},
+], ids=["signal", "model", "sweep", "repeated"])
+def test_build_config_rejects_unknown_or_repeated_keys(doc):
+    with pytest.raises(TypeError):
+        build_config(doc)
+
+
+def test_build_config_rejects_unknown_top_level_key():
+    with pytest.raises(ConfigError, match="'sed'"):
+        build_config({"sed": 3})
+
+
+def test_build_config_rejects_freeze_nonlinear():
+    with pytest.raises(ConfigError, match="--linear-only"):
+        build_config({"fit": {"freeze_nonlinear": True}})
+
+
+def test_cli_train_rejects_config_typo(tmp_path, capsys):
+    cfg_path = write_config(tmp_path / "cfg.json",
+                            signal={"n_symbol": 1024})
+    assert main(["train", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "o")]) == 1
+    assert "n_symbol" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("drive", [0, -0.5])
+def test_cli_train_rejects_non_positive_drive(tmp_path, capsys, drive):
+    cfg_path = write_config(tmp_path / "cfg.json", train_amplitude=drive)
+    assert main(["train", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "o")]) == 1
+    assert "config error: drive amplitude must be > 0" in \
+        capsys.readouterr().err
 
 
 def test_cli_sweep_exits_2_on_divergence_and_keeps_report(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from whdpd import kernels
+from whdpd import kernels, learn
 from whdpd.dsp import SampledSignal, snr_db, synchronize
 from whdpd.kernels import fir_grad_input, fir_grad_taps, fir_same
 from whdpd.learn import (AdamState, DpdArtifact, FitConfig,
@@ -374,6 +374,25 @@ def test_fit_freeze_nonlinear_keeps_a_zero():
     a3 = [b.coeffs[3] for b in art.model.layers
           if isinstance(b, PolyNlBlock)][0]
     assert a3 == 0.0
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-2])
+def test_fit_runs_forward_once_per_iteration(monkeypatch, tol):
+    # the best iteration's loss and intermediates are kept, not recomputed
+    calls = []
+    real = learn.wh_forward
+    monkeypatch.setattr(learn, "wh_forward",
+                        lambda m, x: calls.append(1) or real(m, x))
+    rng = np.random.default_rng(12)
+    ref = sig(rng.normal(size=256) * 0.4, 2)
+    received, _ = real(WhModel.lnl(5, 5, a=0.1), ref)
+    art = fit_postestimator(received, ref, WhModel.lnl(5, 5),
+                            FitConfig(iterations=60, tol=tol))
+    assert len(calls) == art.iterations
+    assert art.final_loss == min(j for _, j, _ in art.history)
+    out, inter = real(art.model, received)
+    assert art.final_loss == loss(out, ref) / ref.samples.size
+    assert art.nl_input_amplitudes == {1: float(np.max(np.abs(inter[1])))}
 
 
 def test_fit_ridge_shrinks_coefficients():
