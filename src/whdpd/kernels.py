@@ -19,7 +19,6 @@ a GEMM result depend on how many threads BLAS splits it over.
 """
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 def _fir(x, h, c):
@@ -30,10 +29,12 @@ def _fir(x, h, c):
     nb = -(-n // b)
     xp = np.zeros((nb + 1) * b)
     xp[k - 1 - c:k - 1 - c + n] = x
-    # t[j, i] = h[K-1-(j-i)] on the band 0 <= j-i <= K-1, zero elsewhere
+    # t[j, i] = hp[j + b-1 - i] = h[K-1-(j-i)] on the band 0 <= j-i <= K-1,
+    # zero elsewhere: a strided view of the padded reversed taps
     hp = np.zeros(2 * b + k - 2)
     hp[b - 1:b - 1 + k] = h[::-1]
-    t = sliding_window_view(hp, b)[:, ::-1]
+    t = np.ndarray((b + k - 1, b), np.float64, hp, hp.itemsize * (b - 1),
+                   (hp.itemsize, -hp.itemsize))
     # row r of output: xp[r*b : r*b + b+K-1] @ t, split at b so both left
     # operands are strided views of xp that BLAS takes without a copy
     y = xp.reshape(nb + 1, b)[:-1] @ t[:b]
@@ -65,28 +66,35 @@ def fir_grad_taps(g, x, k):
     return np.correlate(xp, g, "valid")[::-1]
 
 
-def power(y, m):
-    """y**m for an integer m >= 1 by repeated multiplication; a float array
+def powers(y, top):
+    """[y, y**2, ..., y**top] by repeated multiplication; a float array
     raised to an integer exponent calls pow() per element, ~50x slower."""
-    p = y
-    for _ in range(m - 1):
-        p = p * y
+    p = [y]
+    for _ in range(top - 1):
+        p.append(p[-1] * y)
     return p
 
 
 def poly_apply(y, orders, coeffs):
-    """x + sum_m a_m * y**m for the present orders."""
-    out = y.copy()
+    """x + sum_m a_m * y**m for the present orders (y itself for none)."""
+    p = powers(y, max(orders, default=1))
+    out = y
     for m, a in zip(orders, coeffs):
-        out += a * power(y, m)
+        # sums formed in place in the fresh term: one N-length array each
+        term = a * p[m - 1]
+        term += out
+        out = term
     return out
 
 
-def poly_slope(y, orders, coeffs):
-    """Elementwise derivative 1 + sum_m m * a_m * y**(m-1)."""
-    s = np.ones_like(y)
+def poly_slope(p, orders, coeffs):
+    """Elementwise derivative 1 + sum_m m * a_m * y**(m-1), given the powers
+    p = powers(y, top) with top >= max order - 1."""
+    s = 1.0
     for m, a in zip(orders, coeffs):
-        s += m * a * power(y, m - 1)
+        term = m * a * p[m - 2]
+        term += s
+        s = term
     return s
 
 

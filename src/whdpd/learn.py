@@ -15,7 +15,7 @@ import numpy as np
 from . import kernels
 from .dsp import SampledSignal, rms_normalize, synchronize
 from .model import (FirBlock, PolyNlBlock, WhModel, model_from_dict,
-                    model_to_dict, nl_apply, wh_forward)
+                    model_to_dict, run_cascade, wh_forward)
 
 
 class TrainingDivergedError(RuntimeError):
@@ -24,18 +24,6 @@ class TrainingDivergedError(RuntimeError):
     def __init__(self, iteration):
         super().__init__(f"training diverged at iteration {iteration}")
         self.iteration = iteration
-
-
-@dataclass
-class WhGradients:
-    """Per-block gradients mirroring a WhModel: arrays for FIR taps,
-    order->value dicts for polynomial coefficients."""
-
-    per_layer: list
-
-    def norm(self):
-        g = np.concatenate([_values(e) for e in self.per_layer])
-        return float(np.sqrt(g @ g))
 
 
 def _values(entry):
@@ -51,26 +39,43 @@ def _entries(model):
             for b in model.layers]
 
 
-def pack(model, per_layer=None):
-    """The model's coefficients as one vector theta, block by block: FIR
-    taps as stored, polynomial coefficients by ascending order.
+def _layout(entries):
+    """Per block: the tap count of an FIR block, the ascending orders of a
+    polynomial block."""
+    return [tuple(sorted(e)) if isinstance(e, dict) else len(e)
+            for e in entries]
 
-    Given per_layer (a gradient: an array per FIR block, an order->value
-    dict per polynomial block), packs it in theta's layout instead, after
-    checking that it matches the model block for block.
+
+class WhGradients:
+    """A gradient over the model's coefficients: flat in pack's layout,
+    and per_layer block by block (an array per FIR block, an order->value
+    dict per polynomial block).
+
+    Built from per-block entries, or, given flat, from entries whose shapes
+    and keys only set the layout (wh_backward passes the model's own).
     """
-    own = _entries(model)
-    if per_layer is None:
-        return np.concatenate([_values(e) for e in own])
-    if len(per_layer) != len(own):
-        raise ValueError("gradient/model block count mismatch")
-    for mine, entry in zip(own, per_layer):
-        if isinstance(mine, dict):
-            if not isinstance(entry, dict) or set(entry) != set(mine):
-                raise ValueError("gradient/model coefficient keys mismatch")
-        elif np.shape(entry) != mine.shape:
-            raise ValueError("gradient/model tap count mismatch")
-    return np.concatenate([_values(e) for e in per_layer])
+
+    def __init__(self, per_layer, flat=None):
+        self.layout = _layout(per_layer)
+        if flat is None:
+            flat = np.concatenate([_values(e) for e in per_layer])
+        self.flat = flat
+
+    @property
+    def per_layer(self):
+        sizes = [len(e) if isinstance(e, tuple) else e for e in self.layout]
+        parts = np.split(self.flat, np.cumsum(sizes)[:-1])
+        return [dict(zip(e, map(float, part))) if isinstance(e, tuple)
+                else part for e, part in zip(self.layout, parts)]
+
+    def norm(self):
+        return float(np.sqrt(self.flat @ self.flat))
+
+
+def pack(model):
+    """The model's coefficients as one vector theta, block by block: FIR
+    taps as stored, polynomial coefficients by ascending order."""
+    return np.concatenate([_values(e) for e in _entries(model)])
 
 
 def unpack(theta, model):
@@ -96,56 +101,76 @@ def model_coeff_sumsq(model):
     return float(theta @ theta)
 
 
-def loss(y_out, reference, model=None, ridge=0.0):
-    """0.5 * sum((y - ref)^2), plus ridge * sum(theta^2) when configured."""
-    y = y_out.samples if isinstance(y_out, SampledSignal) else np.asarray(y_out)
-    r = reference.samples if isinstance(reference, SampledSignal) else np.asarray(reference)
+def _residual(y_out, reference):
+    y, r = (s.samples if isinstance(s, SampledSignal) else np.asarray(s)
+            for s in (y_out, reference))
     if y.shape != r.shape:
         raise ValueError("output/reference length mismatch")
-    e = 0.5 * float(np.sum((y - r) ** 2))
+    return y - r
+
+
+def _energy(residual, model, ridge):
+    e = 0.5 * float(residual @ residual)
     if ridge > 0.0 and model is not None:
         e += ridge * model_coeff_sumsq(model)
     return e
 
 
-def wh_backward(model, intermediates, reference, ridge=0.0):
+def loss(y_out, reference, model=None, ridge=0.0):
+    """0.5 * r.r with r = y - ref, plus ridge * sum(theta^2) when
+    configured."""
+    return _energy(_residual(y_out, reference), model, ridge)
+
+
+def wh_backward(model, intermediates, reference, ridge=0.0, residual=None):
     """Exact gradients of the normalized loss w.r.t. every coefficient.
 
     intermediates must come from wh_forward on the same model and input: one
-    input array per layer plus the final output. FIR gradients are the
-    adjoint of the same-length zero-padded convolution (correlation with the
-    flipped filter restricted to the same window); polynomial gradients are
-    dE/da_m = sum_n g_n y_n^m with local slope 1 + sum m a_m y^(m-1). A
-    ridge weight adds its term 2*ridge*theta/N to every coefficient.
+    input array per layer plus the final output. residual, the output minus
+    reference, is formed here unless the caller passes the one it has. FIR
+    gradients are the adjoint of the same-length zero-padded convolution
+    (correlation with the flipped filter restricted to the same window);
+    polynomial gradients are dE/da_m = sum_n g_n y_n^m with local slope
+    1 + sum m a_m y^(m-1), both from one chain of powers of y. A ridge
+    weight adds its term 2*ridge*theta/N to every coefficient.
     """
     if len(intermediates) != len(model.layers) + 1:
         raise ValueError("intermediates do not match the model")
-    ref = reference.samples if isinstance(reference, SampledSignal) else np.asarray(reference)
-    out = intermediates[-1]
-    if out.shape != ref.shape:
-        raise ValueError("output/reference length mismatch")
-    n = out.size
-    decay = 2.0 * ridge / n
-    g = (out - ref) / n
-    per_layer = [None] * len(model.layers)
+    if residual is None:
+        residual = _residual(intermediates[-1], reference)
+    # the pass is linear in the residual: run it on the residual and scale
+    # the gradient vector by 1/N once (exact when N is a power of two)
+    g = residual
+    entries = _entries(model)
+    pos = sum(len(e) for e in entries)
+    flat = np.empty(pos)
     for i in range(len(model.layers) - 1, -1, -1):
         block = model.layers[i]
         x_in = intermediates[i]
         if x_in.shape != g.shape:
             raise ValueError("intermediates do not match the model")
+        pos -= len(entries[i])
         # at i == 0, g would become the gradient w.r.t. the model input,
         # which nothing reads
         if isinstance(block, FirBlock):
-            per_layer[i] = (kernels.fir_grad_taps(g, x_in, block.taps.size)
-                            + decay * block.taps)
+            k = block.taps.size
+            flat[pos:pos + k] = kernels.fir_grad_taps(g, x_in, k)
             if i > 0:
                 g = kernels.fir_grad_input(g, block.taps)
-        else:
-            per_layer[i] = {m: float(np.dot(g, kernels.power(x_in, m)))
-                            + decay * a for m, a in block.coeffs.items()}
-            if i > 0 and block.coeffs:
-                g = g * kernels.poly_slope(x_in, block.orders(), block.values())
-    return WhGradients(per_layer)
+        elif block.coeffs:
+            orders = block.orders()
+            p = kernels.powers(x_in, orders[-1])
+            for j, m in enumerate(orders):
+                flat[pos + j] = np.dot(g, p[m - 1])
+            if i > 0:
+                slope = kernels.poly_slope(p, orders, block.values())
+                slope *= g
+                g = slope
+    n = residual.size
+    flat /= n
+    if ridge > 0.0:
+        flat += (2.0 * ridge / n) * pack(model)
+    return WhGradients(entries, flat)
 
 
 @dataclass
@@ -154,7 +179,9 @@ class AdamState:
     hyperparameters.
 
     Taps and nonlinear coefficients get separate learning rates because
-    their magnitudes differ by orders of magnitude in practice.
+    their magnitudes differ by orders of magnitude in practice. for_model
+    lays the rates out per coordinate once: lr, and lr_frozen with the
+    polynomial coefficients held still.
     """
 
     lr_taps: float = 1e-3
@@ -165,24 +192,31 @@ class AdamState:
     t: int = 0
     m: np.ndarray = field(default_factory=lambda: np.zeros(0))
     v: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    lr: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    lr_frozen: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    layout: list = field(default_factory=list)
 
     @classmethod
     def for_model(cls, model, **kwargs):
-        size = pack(model).size
-        return cls(m=np.zeros(size), v=np.zeros(size), **kwargs)
+        state = cls(**kwargs)
+        entries = _entries(model)
+        taps = np.repeat([isinstance(b, FirBlock) for b in model.layers],
+                         [len(e) for e in entries])
+        state.m, state.v = np.zeros(taps.size), np.zeros(taps.size)
+        state.lr = np.where(taps, state.lr_taps, state.lr_nl)
+        state.lr_frozen = np.where(taps, state.lr_taps, 0.0)
+        state.layout = _layout(entries)
+        return state
 
 
 def adam_step(state, model, grads, freeze_nonlinear=False):
     """One bias-corrected Adam update of pack(model), in place; returns
     (state, model). Taps step with lr_taps, polynomial coefficients with
     lr_nl, or not at all when frozen."""
-    g = pack(model, grads.per_layer)
-    if state.m.shape != g.shape:
-        raise ValueError("state/model coefficient count mismatch")
-    lr_nl = 0.0 if freeze_nonlinear else state.lr_nl
-    lr = np.repeat([state.lr_taps if isinstance(b, FirBlock) else lr_nl
-                    for b in model.layers],
-                   [len(e) for e in _entries(model)])
+    if grads.layout != state.layout:
+        raise ValueError("gradient/state coefficient layout mismatch")
+    g = grads.flat
+    lr = state.lr_frozen if freeze_nonlinear else state.lr
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     state.m = b1 * state.m + (1.0 - b1) * g
@@ -272,16 +306,16 @@ def fit_postestimator(received, reference, init, cfg):
                                 beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
     n = received.samples.size
     history = []
-    best_loss = np.inf
-    best_model, best_inter = model.copy(), None
+    best_loss, best_theta, best_inter = np.inf, None, None
     for it in range(cfg.iterations):
         out, inter = wh_forward(model, received)
-        j = loss(out, reference, model, cfg.ridge) / n
+        r = _residual(out, reference)
+        j = _energy(r, model, cfg.ridge) / n
         if not np.isfinite(j):
             raise TrainingDivergedError(it)
         if j < best_loss:
-            best_loss, best_model, best_inter = j, model.copy(), inter
-        grads = wh_backward(model, inter, reference, cfg.ridge)
+            best_loss, best_theta, best_inter = j, pack(model), inter
+        grads = wh_backward(model, inter, reference, cfg.ridge, residual=r)
         history.append((it, j, grads.norm()))
         adam_step(state, model, grads, cfg.freeze_nonlinear)
         w = cfg.tol_window
@@ -289,6 +323,7 @@ def fit_postestimator(received, reference, init, cfg):
             prev = history[-1 - w][1]
             if prev > 0 and abs(j - prev) / prev < cfg.tol:
                 break
+    best_model = unpack(best_theta, model)
     return DpdArtifact(model=best_model,
                        nl_input_amplitudes=_nl_input_amplitudes(best_model,
                                                                 best_inter),
@@ -315,27 +350,11 @@ def apply_dpd(artifact, x):
     (f(s*x)/s = x + a s^2 x^3), reproducing the trained operating point of
     the nonlinearity while preserving overall gain.
     """
-    cur = np.asarray(x.samples, dtype=np.float64)
-    if np.max(np.abs(cur)) == 0:
+    if np.max(np.abs(x.samples)) == 0:
         raise ValueError("cannot apply DPD to an all-zero signal")
-    sig = x.with_samples(cur)
-    for i, block in enumerate(artifact.model.layers):
-        if isinstance(block, FirBlock):
-            sig = sig.with_samples(kernels.fir_same(sig.samples, block.taps))
-        else:
-            amp = artifact.nl_input_amplitudes.get(i, 0.0)
-            if amp <= 0:
-                raise ValueError("artifact has no positive stored amplitude "
-                                 f"for nonlinear block {i}")
-            peak = float(np.max(np.abs(sig.samples)))
-            if peak == 0:
-                raise ValueError(f"signal entering nonlinear block {i} is all "
-                                 "zero")
-            s = amp / peak
-            scaled = sig.with_samples(sig.samples * s)
-            sig = nl_apply(block, scaled)
-            sig = sig.with_samples(sig.samples / s)
-    return sig
+    out, _ = run_cascade(artifact.model, x.samples,
+                         peaks=artifact.nl_input_amplitudes)
+    return x.with_samples(out)
 
 
 def rescale_nl_coeff(a, s, order=3):

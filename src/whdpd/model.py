@@ -104,33 +104,56 @@ def fir_apply(block, x):
     return x.with_samples(kernels.fir_same(x.samples, block.taps))
 
 
+def _poly(block, y):
+    if not block.coeffs:
+        return y.copy()
+    return kernels.poly_apply(y, block.orders(), block.values())
+
+
 def nl_apply(block, y):
     """Elementwise x + sum a_m x^m; memoryless."""
-    if not block.coeffs:
-        return y.with_samples(y.samples.copy())
-    return y.with_samples(
-        kernels.poly_apply(y.samples, block.orders(), block.values()))
+    return y.with_samples(_poly(block, y.samples))
 
 
-def wh_forward(model, x):
-    """Run the cascade; returns (output, per-layer intermediate arrays).
+def run_cascade(model, y, peaks=None):
+    """Run the cascade on a sample array; returns (output array,
+    intermediates), the one walker behind wh_forward and apply_dpd.
 
     The intermediates list holds each layer's input array (x^(l) for FIR
     blocks, y^(l) for nonlinear blocks) followed by the final output; it is
-    consumed by the backward pass.
+    consumed by the backward pass. Given peaks ({layer index: amplitude}),
+    the signal entering each nonlinear block is scaled by s so its peak
+    equals that amplitude, and the block's output is divided by s.
     """
     intermediates = []
-    cur = x
-    for block in model.layers:
-        intermediates.append(cur.samples)
+    for i, block in enumerate(model.layers):
+        intermediates.append(y)
         if isinstance(block, FirBlock):
-            cur = fir_apply(block, cur)
-        elif isinstance(block, PolyNlBlock):
-            cur = nl_apply(block, cur)
-        else:
+            y = kernels.fir_same(y, block.taps)
+        elif not isinstance(block, PolyNlBlock):
             raise TypeError(f"unknown block type {type(block).__name__}")
-    intermediates.append(cur.samples)
-    return cur, intermediates
+        elif peaks is None:
+            y = _poly(block, y)
+        else:
+            amp = peaks.get(i, 0.0)
+            if amp <= 0:
+                raise ValueError("artifact has no positive stored amplitude "
+                                 f"for nonlinear block {i}")
+            peak = float(np.max(np.abs(y)))
+            if peak == 0:
+                raise ValueError(f"signal entering nonlinear block {i} is "
+                                 "all zero")
+            s = amp / peak
+            y = _poly(block, y * s) / s
+    intermediates.append(y)
+    return y, intermediates
+
+
+def wh_forward(model, x):
+    """Run the cascade on a signal; returns (output signal, intermediates),
+    see run_cascade."""
+    out, intermediates = run_cascade(model, x.samples)
+    return x.with_samples(out), intermediates
 
 
 def complexity(model):

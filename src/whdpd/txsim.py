@@ -14,7 +14,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import firwin
 
 from .model import SCHEMA_VERSION, FirBlock
 from .kernels import fir_same
@@ -118,8 +117,11 @@ def simulate_tx(channel, x):
 
 
 def _lowpass(n_taps, cutoff, echo=0.0, echo_delay=0):
-    """Gentle low-pass with an optional small echo tap, unit DC gain."""
-    taps = firwin(n_taps, cutoff)
+    """Gentle low-pass with an optional small echo tap, unit DC gain: a
+    Hamming-windowed sinc with its cutoff as a fraction of Nyquist."""
+    m = np.arange(n_taps) - (n_taps - 1) / 2
+    taps = np.sinc(cutoff * m) * np.hamming(n_taps)
+    taps /= np.sum(taps)
     if echo:
         taps[n_taps // 2 + echo_delay] += echo
     return FirBlock(taps / np.sum(taps))
@@ -164,17 +166,20 @@ def channel_to_dict(channel):
     return doc
 
 
+_PARTS = {
+    "pre_fir": lambda d: FirBlock(**d),
+    "saturation": lambda d: SaturationSpec(**d),
+    "post_fir": lambda d: FirBlock(**d),
+    "mzm": lambda d: None if d is None else MzmSpec(**d),
+}
+
+
 def channel_from_dict(doc):
-    c = doc["channel"]
-    return TxChannel(
-        dac_bits=c.get("dac_bits"),
-        dac_full_scale=c.get("dac_full_scale", 1.0),
-        pre_fir=FirBlock(np.asarray(c["pre_fir"]["taps"])),
-        saturation=SaturationSpec(**c["saturation"]),
-        post_fir=FirBlock(np.asarray(c["post_fir"]["taps"])),
-        mzm=None if c.get("mzm") is None else MzmSpec(**c["mzm"]),
-        noise_snr_db=c.get("noise_snr_db"),
-        seed=c.get("seed", 0))
+    """TxChannel from channel_to_dict's layout: keys are field names, a
+    missing key takes the field's default and an unknown key raises
+    TypeError."""
+    return TxChannel(**{k: _PARTS[k](v) if k in _PARTS else v
+                        for k, v in doc["channel"].items()})
 
 
 def save_channel(channel, path):

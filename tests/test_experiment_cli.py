@@ -10,8 +10,8 @@ from whdpd.experiment import (ExperimentConfig, Workbench,
                               matched_rms_comparison, run_experiment,
                               sweep_amplitude_with_fixed_dpd)
 from whdpd.learn import FitConfig
-from whdpd.txsim import (SaturationSpec, TxChannel, paper_like_preset,
-                         save_channel)
+from whdpd.txsim import (SaturationSpec, TxChannel, channel_to_dict,
+                         paper_like_preset, save_channel)
 
 
 def tiny_cfg(**over):
@@ -269,6 +269,23 @@ def test_cli_train_rejects_config_typo(tmp_path, capsys):
                  "--out", str(tmp_path / "o")]) == 1
     assert "n_symbol" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_cli_rejects_channel_key_typo(tmp_path, capsys):
+    channel = channel_to_dict(paper_like_preset())["channel"]
+    channel["noise_snr"] = channel.pop("noise_snr_db")
+    cfg_path = write_config(tmp_path / "cfg.json", channel=channel)
+    assert main(["train", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "o")]) == 1
+    assert "noise_snr" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    ch_path = tmp_path / "channel.json"
+    ch_path.write_text(json.dumps({"channel": channel}))
+    wave = tmp_path / "in.csv"
+    np.savetxt(wave, np.zeros(8))
+    assert main(["simulate", "--channel", str(ch_path), "--input", str(wave),
+                 "--output", str(tmp_path / "out.csv")]) == 1
+    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize("drive", [0, -0.5])

@@ -114,6 +114,32 @@ def test_backward_matches_finite_differences():
     assert_grads_close(grads, numeric_gradients(model, x, ref))
 
 
+def test_backward_matches_finite_differences_up_to_order_5():
+    # one chain of powers serves every order's dE/da_m and the local slope
+    rng = np.random.default_rng(2)
+    model = random_model(rng, (5, 5), ({2: 0.05, 3: 0.1, 4: -0.03, 5: 0.02},))
+    x = sig(rng.normal(size=32))
+    ref = sig(rng.normal(size=32))
+    _, inter = wh_forward(model, x)
+    grads = wh_backward(model, inter, ref)
+    assert set(grads.per_layer[1]) == {2, 3, 4, 5}
+    assert_grads_close(grads, numeric_gradients(model, x, ref))
+
+
+def test_backward_flat_gradient_is_per_layer_in_pack_layout():
+    rng = np.random.default_rng(7)
+    model = random_model(rng, (4, 3), ({3: 0.1, 2: 0.05},))
+    x = sig(rng.normal(size=40))
+    _, inter = wh_forward(model, x)
+    grads = wh_backward(model, inter, sig(rng.normal(size=40)))
+    per_layer = grads.per_layer
+    assert np.array_equal(grads.flat, np.concatenate(
+        [per_layer[0], [per_layer[1][2], per_layer[1][3]], per_layer[2]]))
+    rebuilt = WhGradients(per_layer)
+    assert np.array_equal(rebuilt.flat, grads.flat)
+    assert rebuilt.norm() == grads.norm()
+
+
 def test_backward_single_fir_equals_lms_correlation():
     rng = np.random.default_rng(3)
     h = rng.normal(size=5)
@@ -258,6 +284,14 @@ def test_adam_rejects_shape_mismatch():
         adam_step(state, model, WhGradients([np.array([1.0])]))
 
 
+def test_adam_rejects_gradient_for_other_orders():
+    model = WhModel.lnl(3, 3, a=0.1)
+    state = AdamState.for_model(model)
+    grads = WhGradients([np.ones(3), {2: 1.0}, np.ones(3)])
+    with pytest.raises(ValueError):
+        adam_step(state, model, grads)
+
+
 def _fir_poly_fir():
     return WhModel([FirBlock([0.1, 1.0, -0.2]), PolyNlBlock({3: 0.05, 2: -0.02}),
                     FirBlock([0.3, 0.9])])
@@ -393,6 +427,25 @@ def test_fit_runs_forward_once_per_iteration(monkeypatch, tol):
     out, inter = real(art.model, received)
     assert art.final_loss == loss(out, ref) / ref.samples.size
     assert art.nl_input_amplitudes == {1: float(np.max(np.abs(inter[1])))}
+
+
+def test_fit_copies_the_model_a_bounded_number_of_times(monkeypatch):
+    # the best coefficients are kept as a vector, not as a model copy per
+    # improvement
+    copies = []
+    real = WhModel.copy
+    monkeypatch.setattr(WhModel, "copy",
+                        lambda self: copies.append(1) or real(self))
+    rng = np.random.default_rng(13)
+    ref = sig(rng.normal(size=256) * 0.4, 2)
+    received, _ = wh_forward(WhModel.lnl(5, 5, a=0.1), ref)
+    art = fit_postestimator(received, ref, WhModel.lnl(5, 5),
+                            FitConfig(iterations=60, tol=1e-300))
+    improvements = sum(j < min(h[1] for h in art.history[:i])
+                       for i, (_, j, _) in enumerate(art.history) if i)
+    assert art.iterations == 60 and improvements > 50
+    assert len(copies) <= 2
+    assert art.final_loss == min(j for _, j, _ in art.history)
 
 
 def test_fit_ridge_shrinks_coefficients():

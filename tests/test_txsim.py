@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import whdpd
 from whdpd.dsp import SampledSignal, snr_db
 from whdpd.model import FirBlock, PolyNlBlock, WhModel, wh_forward
 from whdpd.txsim import (MzmSpec, SaturationSpec, TxChannel, channel_from_dict,
@@ -176,3 +182,62 @@ def test_channel_dict_has_version():
     doc = channel_to_dict(paper_like_preset())
     assert doc["schema_version"]
     channel_from_dict(doc)
+
+
+def test_channel_dict_round_trips_every_field():
+    channel = TxChannel(dac_bits=6, dac_full_scale=1.2,
+                        pre_fir=FirBlock([0.1, 0.8, 0.1]),
+                        saturation=SaturationSpec("tanh", 0.9, 1.1),
+                        post_fir=FirBlock([0.9, 0.1]), mzm=MzmSpec(v_pi=2.0),
+                        noise_snr_db=30.0, seed=4)
+    for ch in (channel, paper_like_preset(seed=3), TxChannel()):
+        doc = channel_to_dict(ch)
+        assert channel_to_dict(channel_from_dict(doc)) == doc
+
+
+@pytest.mark.parametrize("path, key", [((), "noise_snr"),
+                                       (("saturation",), "level"),
+                                       (("pre_fir",), "tap")])
+def test_channel_from_dict_rejects_unknown_keys(path, key):
+    doc = channel_to_dict(paper_like_preset())
+    part = doc["channel"]
+    for name in path:
+        part = part[name]
+    part[key] = 1.0
+    with pytest.raises(TypeError, match=key):
+        channel_from_dict(doc)
+
+
+def test_channel_from_dict_defaults_missing_keys():
+    assert channel_from_dict({"channel": {}}) == TxChannel()
+
+
+def test_preset_taps_are_windowed_sinc_low_pass():
+    # Hamming-windowed sinc at the cutoff, unit DC gain, then the echo tap
+    # and unit DC gain again
+    n = 15
+    m = np.arange(n) - (n - 1) / 2
+    for taps, cutoff, echo, delay in ((paper_like_preset().pre_fir.taps,
+                                       0.85, 0.04, 3),
+                                      (paper_like_preset().post_fir.taps,
+                                       0.75, 0.05, 4)):
+        h = np.sinc(cutoff * m) * (0.54 - 0.46 * np.cos(2 * np.pi
+                                                        * np.arange(n)
+                                                        / (n - 1)))
+        h /= h.sum()
+        h[n // 2 + delay] += echo
+        assert np.allclose(taps, h / h.sum(), rtol=0, atol=1e-15)
+        assert np.sum(taps) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_import_does_not_load_scipy():
+    src = str(Path(whdpd.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep)
+                 if p]))
+    done = subprocess.run([sys.executable, "-c",
+                           "import sys, whdpd; "
+                           "print(sorted(m for m in sys.modules "
+                           "if m.split('.')[0] == 'scipy'))"],
+                          env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
