@@ -76,8 +76,8 @@ def powers(y, top):
 
 
 def poly_apply(y, orders, coeffs):
-    """x + sum_m a_m * y**m for the present orders (y itself for none)."""
-    p = powers(y, max(orders, default=1))
+    """x + sum_m a_m * y**m for the present (non-empty) orders."""
+    p = powers(y, max(orders))
     out = y
     for m, a in zip(orders, coeffs):
         # sums formed in place in the fresh term: one N-length array each

@@ -53,6 +53,8 @@ class WhGradients:
 
     Built from per-block entries, or, given flat, from entries whose shapes
     and keys only set the layout (wh_backward passes the model's own).
+    per_layer is formed from flat on each access, as copies: writing to it
+    does not change the gradient.
     """
 
     def __init__(self, per_layer, flat=None):
@@ -66,7 +68,7 @@ class WhGradients:
         sizes = [len(e) if isinstance(e, tuple) else e for e in self.layout]
         parts = np.split(self.flat, np.cumsum(sizes)[:-1])
         return [dict(zip(e, map(float, part))) if isinstance(e, tuple)
-                else part for e, part in zip(self.layout, parts)]
+                else part.copy() for e, part in zip(self.layout, parts)]
 
     def norm(self):
         return float(np.sqrt(self.flat @ self.flat))
@@ -180,8 +182,8 @@ class AdamState:
 
     Taps and nonlinear coefficients get separate learning rates because
     their magnitudes differ by orders of magnitude in practice. for_model
-    lays the rates out per coordinate once: lr, and lr_frozen with the
-    polynomial coefficients held still.
+    records the model's coefficient layout and which coordinates are FIR
+    taps, once.
     """
 
     lr_taps: float = 1e-3
@@ -192,19 +194,17 @@ class AdamState:
     t: int = 0
     m: np.ndarray = field(default_factory=lambda: np.zeros(0))
     v: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    lr: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    lr_frozen: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    layout: list = field(default_factory=list)
+    layout: list = field(default=None, init=False, repr=False)
+    taps: np.ndarray = field(default=None, init=False, repr=False)
 
     @classmethod
     def for_model(cls, model, **kwargs):
         state = cls(**kwargs)
         entries = _entries(model)
-        taps = np.repeat([isinstance(b, FirBlock) for b in model.layers],
-                         [len(e) for e in entries])
-        state.m, state.v = np.zeros(taps.size), np.zeros(taps.size)
-        state.lr = np.where(taps, state.lr_taps, state.lr_nl)
-        state.lr_frozen = np.where(taps, state.lr_taps, 0.0)
+        state.taps = np.repeat([isinstance(b, FirBlock) for b in model.layers],
+                               [len(e) for e in entries])
+        state.m = np.zeros(state.taps.size)
+        state.v = np.zeros(state.taps.size)
         state.layout = _layout(entries)
         return state
 
@@ -213,10 +213,11 @@ def adam_step(state, model, grads, freeze_nonlinear=False):
     """One bias-corrected Adam update of pack(model), in place; returns
     (state, model). Taps step with lr_taps, polynomial coefficients with
     lr_nl, or not at all when frozen."""
-    if grads.layout != state.layout:
-        raise ValueError("gradient/state coefficient layout mismatch")
+    if not grads.layout == state.layout == _layout(_entries(model)):
+        raise ValueError("gradient/state/model coefficient layout mismatch")
     g = grads.flat
-    lr = state.lr_frozen if freeze_nonlinear else state.lr
+    lr = np.where(state.taps, state.lr_taps,
+                  0.0 if freeze_nonlinear else state.lr_nl)
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     state.m = b1 * state.m + (1.0 - b1) * g
@@ -352,8 +353,20 @@ def apply_dpd(artifact, x):
     """
     if np.max(np.abs(x.samples)) == 0:
         raise ValueError("cannot apply DPD to an all-zero signal")
-    out, _ = run_cascade(artifact.model, x.samples,
-                         peaks=artifact.nl_input_amplitudes)
+    amps = artifact.nl_input_amplitudes
+
+    def scale(i, y):
+        amp = amps.get(i, 0.0)
+        if amp <= 0:
+            raise ValueError("artifact has no positive stored amplitude "
+                             f"for nonlinear block {i}")
+        peak = float(np.max(np.abs(y)))
+        if peak == 0:
+            raise ValueError(f"signal entering nonlinear block {i} is all "
+                             "zero")
+        return amp / peak
+
+    out, _ = run_cascade(artifact.model, x.samples, scale)
     return x.with_samples(out)
 
 

@@ -115,15 +115,15 @@ def nl_apply(block, y):
     return y.with_samples(_poly(block, y.samples))
 
 
-def run_cascade(model, y, peaks=None):
+def run_cascade(model, y, scale=None):
     """Run the cascade on a sample array; returns (output array,
     intermediates), the one walker behind wh_forward and apply_dpd.
 
     The intermediates list holds each layer's input array (x^(l) for FIR
     blocks, y^(l) for nonlinear blocks) followed by the final output; it is
-    consumed by the backward pass. Given peaks ({layer index: amplitude}),
-    the signal entering each nonlinear block is scaled by s so its peak
-    equals that amplitude, and the block's output is divided by s.
+    consumed by the backward pass. Given scale, a function of (layer index,
+    input array) giving a factor s, each nonlinear block runs on s*y and its
+    output is divided by s.
     """
     intermediates = []
     for i, block in enumerate(model.layers):
@@ -132,18 +132,10 @@ def run_cascade(model, y, peaks=None):
             y = kernels.fir_same(y, block.taps)
         elif not isinstance(block, PolyNlBlock):
             raise TypeError(f"unknown block type {type(block).__name__}")
-        elif peaks is None:
+        elif scale is None:
             y = _poly(block, y)
         else:
-            amp = peaks.get(i, 0.0)
-            if amp <= 0:
-                raise ValueError("artifact has no positive stored amplitude "
-                                 f"for nonlinear block {i}")
-            peak = float(np.max(np.abs(y)))
-            if peak == 0:
-                raise ValueError(f"signal entering nonlinear block {i} is "
-                                 "all zero")
-            s = amp / peak
+            s = scale(i, y)
             y = _poly(block, y * s) / s
     intermediates.append(y)
     return y, intermediates
