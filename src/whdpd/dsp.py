@@ -9,6 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import inner
+
 #: snr_db returns this when the error power underflows (noiseless loopback).
 SNR_CEILING_DB = 100.0
 
@@ -182,7 +184,7 @@ def synchronize(reference, received, min_peak=0.1):
     rp[:r.size] = r
     corr = np.fft.irfft(np.fft.rfft(v) * np.conj(np.fft.rfft(rp)), v.size)
     peak = int(np.argmax(corr))
-    norm = np.linalg.norm(r) * np.linalg.norm(v)
+    norm = np.sqrt(inner(r, r) * inner(v, v))
     if norm == 0 or corr[peak] / norm < min_peak:
         raise AlignmentError("correlation peak below floor; alignment ambiguous")
     aligned = np.roll(v, -peak)[:r.size]
@@ -214,7 +216,7 @@ def snr_db(reference, demodulated, ceiling=SNR_CEILING_DB):
     d = _as_array(demodulated)
     if r.shape != d.shape:
         raise ValueError("reference and demodulated lengths differ")
-    g = np.vdot(d, r) / np.vdot(d, d)
+    g = inner(d, r) / inner(d, d)
     if not np.iscomplexobj(r) and not np.iscomplexobj(d):
         g = g.real
     err = r - g * d

@@ -13,12 +13,52 @@ products (convolution lowered to GEMM): the zero-padded input is cut into
 rows of b samples, and each row of output is that row, plus the first K-1
 samples of the next, times one banded (b+K-1) x b matrix of the taps. BLAS
 then does the O(NK) work in large multiply-adds; np.convolve issues one
-K-long dot product per output sample. The tap adjoint keeps only K outputs,
-so it stays a direct correlation. With K in the hundreds, the last bits of
-a GEMM result depend on how many threads BLAS splits it over.
+K-long dot product per output sample. The tap adjoint multiplies the same
+rows of the input by the rows of the output gradient and sums the K
+diagonals of the small product. With K in the hundreds, the last bits of a
+GEMM result depend on how many threads BLAS splits it over.
+
+Threads: OpenBLAS splits a dot product longer than 10 000 samples, or a
+GEMM above 2^18 multiply-adds, over its threads, and its idle threads spin
+between calls. A fit step at the paper point makes dozens of products of
+a few microseconds each; split, they would keep a second core spinning and
+make the fit several times slower whenever anything else runs on the
+machine. At N = 16384 and K = 15 every product here stays on one thread:
+each GEMM is at most 2^18 multiply-adds, and inner() sums in numpy.
 """
 
+import ctypes
+import os
+
 import numpy as np
+
+# glibc mallopt parameters
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _recycle_freed_arrays():
+    """Have glibc's malloc keep freed array memory for reuse.
+
+    By default glibc serves a request above a sliding threshold (128 KiB at
+    start, raised to the size of each large block freed) with a fresh mmap,
+    and on free hands heap space above twice that threshold back to the OS.
+    A float64 array of 16384 samples is 128 KiB, so whether the arrays of a
+    fit iteration or an evaluation are recycled or faulted back in page by
+    page depends on what the process allocated before. Fixed
+    thresholds, 32 MiB (glibc's largest) and twice that for trimming, let
+    them all come back from the heap. Other C libraries are left alone.
+    """
+    try:
+        glibc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):
+        return
+    if glibc:
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+        mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
+_recycle_freed_arrays()
 
 
 def _fir(x, h, c):
@@ -56,14 +96,32 @@ def fir_grad_input(g, h):
 def fir_grad_taps(g, x, k):
     """Adjoint of fir_same w.r.t. the taps: gh[j] = sum_i g[i] x[i+c-j].
 
-    K dot products of length N against the zero-padded input, O(NK); an FFT
-    over the two length-N signals costs more at every K the models use.
+    With g and the padded input cut into the same rows of b samples as in
+    _fir, a = sum_r g_r^T [x_r, first K-1 of x_(r+1)] is one (b, b+K-1)
+    product, and gh[K-1-d] is the sum of its d-th upper diagonal.
     """
     n = len(x)
     c = k // 2
-    xp = np.zeros(n + k - 1)
+    b = max(k - 1, 16)
+    nb = -(-n // b)
+    xp = np.zeros((nb + 1) * b)
     xp[k - 1 - c:k - 1 - c + n] = x
-    return np.correlate(xp, g, "valid")[::-1]
+    gp = np.zeros(nb * b)
+    gp[:n] = g
+    gt = gp.reshape(nb, b).T
+    a = np.empty((b, b + k - 1))
+    np.matmul(gt, xp.reshape(nb + 1, b)[:-1], out=a[:, :b])
+    np.matmul(gt, xp[b:].reshape(nb, b)[:, :k - 1], out=a[:, b:])
+    # a[i, i+d] sits at i*(b+K) + d: row i of this view holds a[i, i:i+K]
+    diagonals = np.ndarray((b, k), np.float64, a, 0,
+                           (a.itemsize * (b + k), a.itemsize))
+    return np.add.reduce(diagonals, axis=0)[::-1]
+
+
+def inner(a, b):
+    """sum(conj(a) * b) over two equal-length arrays, summed by numpy on
+    the calling thread (np.dot and np.vdot hand it to BLAS)."""
+    return np.einsum("i,i", np.ravel(a).conj(), np.ravel(b))
 
 
 def powers(y, top):

@@ -112,7 +112,7 @@ def _residual(y_out, reference):
 
 
 def _energy(residual, model, ridge):
-    e = 0.5 * float(residual @ residual)
+    e = 0.5 * float(kernels.inner(residual, residual))
     if ridge > 0.0 and model is not None:
         e += ridge * model_coeff_sumsq(model)
     return e
@@ -163,7 +163,7 @@ def wh_backward(model, intermediates, reference, ridge=0.0, residual=None):
             orders = block.orders()
             p = kernels.powers(x_in, orders[-1])
             for j, m in enumerate(orders):
-                flat[pos + j] = np.dot(g, p[m - 1])
+                flat[pos + j] = kernels.inner(g, p[m - 1])
             if i > 0:
                 slope = kernels.poly_slope(p, orders, block.values())
                 slope *= g

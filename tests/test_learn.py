@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -219,6 +224,34 @@ def test_fir_kernels_match_direct_convolution(n, k):
         assert got.shape == (n,)
         np.testing.assert_allclose(got, ref, rtol=1e-12,
                                    atol=1e-12 * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("k", (1, 2, 15, 16, 17, 80, 401))
+@pytest.mark.parametrize("n", (1, 15, 16, 17, 31, 33, 1000, 16384))
+def test_fir_grad_taps_matches_direct_correlation(n, k):
+    # gh[j] = sum_i g[i] x[i+c-j] over the i where x is defined, one slice
+    # product per tap, against the blocked-GEMM diagonal sums
+    rng = np.random.default_rng(1000 * n + k + 1)
+    x, g = rng.normal(size=n), rng.normal(size=n)
+    c = k // 2
+    ref = np.zeros(k)
+    for j in range(k):
+        lo, hi = max(0, j - c), min(n, n + j - c)
+        if lo < hi:
+            ref[j] = g[lo:hi] @ x[lo + c - j:hi + c - j]
+    got = fir_grad_taps(g, x, k)
+    assert got.shape == (k,)
+    np.testing.assert_allclose(got, ref, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(ref)))
+
+
+def test_inner_is_conjugated_dot():
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=33) + 1j * rng.normal(size=33)
+    b = rng.normal(size=33) + 1j * rng.normal(size=33)
+    assert kernels.inner(a, b) == pytest.approx(np.vdot(a, b), rel=1e-14)
+    assert kernels.inner(a.real, b.real) == pytest.approx(
+        np.dot(a.real, b.real), rel=1e-14)
 
 
 def test_backward_skips_input_gradient_of_first_block(monkeypatch):
@@ -461,6 +494,81 @@ def test_fit_copies_the_model_a_bounded_number_of_times(monkeypatch):
     assert art.iterations == 60 and improvements > 50
     assert len(copies) <= 2
     assert art.final_loss == min(j for _, j, _ in art.history)
+
+
+FIT_PAGE_FAULTS = """
+import resource, sys
+import numpy as np
+from whdpd import FitConfig, SampledSignal, WhModel, fit_postestimator
+x = np.random.default_rng(0).normal(size=131072) * 0.3
+args = (SampledSignal(x, 2), SampledSignal(x + 0.1 * x ** 3, 2))
+fit_postestimator(*args, WhModel.lnl(15, 15), FitConfig(iterations=20))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+fit_postestimator(*args, WhModel.lnl(15, 15), FitConfig(iterations=20))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def _glibc():
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+@pytest.mark.skipif(not _glibc(), reason="malloc thresholds are set on glibc")
+def test_repeated_fit_reuses_freed_array_memory():
+    # a fresh interpreter, so only whdpd has set up malloc; each 1 MiB array
+    # faulted back in costs 256 pages
+    src = str(Path(learn.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep)
+                 if p]))
+    done = subprocess.run([sys.executable, "-c", FIT_PAGE_FAULTS], env=env,
+                          capture_output=True, text=True, check=True)
+    assert int(done.stdout) < 256
+
+
+FIT_THREAD_USE = """
+import resource, time
+import numpy as np
+from whdpd import FitConfig, SampledSignal, WhModel, fit_postestimator
+x = np.random.default_rng(0).normal(size=16384) * 0.3
+args = (SampledSignal(x, 2), SampledSignal(x + 0.1 * x ** 3, 2))
+fit_postestimator(*args, WhModel.lnl(15, 15), FitConfig(iterations=20))
+time.sleep(0.5)  # lets a BLAS thread that spins after a call park first
+r, t = resource.getrusage(resource.RUSAGE_SELF), time.perf_counter()
+fit_postestimator(*args, WhModel.lnl(15, 15),
+                  FitConfig(iterations=1000, tol=1e-300))
+wall = time.perf_counter() - t
+s = resource.getrusage(resource.RUSAGE_SELF)
+print((s.ru_utime - r.ru_utime + s.ru_stime - r.ru_stime) / wall)
+"""
+
+
+def _blas_name():
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"][
+            "name"]
+    except (TypeError, KeyError):
+        return ""
+
+
+@pytest.mark.skipif("openblas" not in _blas_name(),
+                    reason="the thresholds kept to are OpenBLAS's")
+def test_paper_point_fit_keeps_to_one_thread():
+    # with two BLAS threads allowed, a fit step at N = 16384, K = 15 still
+    # makes no call that BLAS splits, so the process uses about one core
+    # (a split call leaves the second thread spinning: CPU time ~2x wall)
+    src = str(Path(learn.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join(
+                   [src] + [p for p in os.environ.get("PYTHONPATH",
+                                                      "").split(os.pathsep)
+                            if p]))
+    done = subprocess.run([sys.executable, "-c", FIT_THREAD_USE], env=env,
+                          capture_output=True, text=True, check=True)
+    assert float(done.stdout) < 1.4
 
 
 def test_fit_ridge_shrinks_coefficients():
