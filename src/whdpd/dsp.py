@@ -23,13 +23,11 @@ class AlignmentError(RuntimeError):
 class SampledSignal:
     """A real-valued sample sequence with rate metadata.
 
-    samples_per_symbol ties the waveform back to the symbol clock; label is
-    free text for bookkeeping in reports.
+    samples_per_symbol ties the waveform back to the symbol clock.
     """
 
     samples: np.ndarray
     samples_per_symbol: float = 1.0
-    label: str = ""
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -41,9 +39,8 @@ class SampledSignal:
     def rms(self):
         return float(np.sqrt(np.mean(self.samples ** 2)))
 
-    def with_samples(self, samples, label=None):
-        return SampledSignal(samples, self.samples_per_symbol,
-                             self.label if label is None else label)
+    def with_samples(self, samples):
+        return SampledSignal(samples, self.samples_per_symbol)
 
 
 def _gray_levels(bits_per_axis):
@@ -164,9 +161,7 @@ def shape_pulse(symbols, spec):
     up[::sps] = symbols
     c = len(taps) // 2
     shaped = np.convolve(up, taps)[c:c + up.size]
-    i_rail = SampledSignal(shaped.real, sps, "I")
-    q_rail = SampledSignal(shaped.imag, sps, "Q")
-    return i_rail, q_rail
+    return SampledSignal(shaped.real, sps), SampledSignal(shaped.imag, sps)
 
 
 def synchronize(reference, received, min_peak=0.1):
@@ -205,12 +200,12 @@ def _as_array(x):
     return x.samples if isinstance(x, SampledSignal) else np.asarray(x)
 
 
-def snr_db(reference, demodulated, ceiling=SNR_CEILING_DB):
+def snr_db(reference, demodulated):
     """10*log10(E|r|^2 / E|r - g*d|^2) with the least-squares gain g.
 
     Accepts real rails, complex sequences or SampledSignals. The optimal
     gain removes any residual scale (and sign) before the ratio; the return
-    value is capped at `ceiling` when the error power underflows.
+    value is capped at SNR_CEILING_DB when the error power underflows.
     """
     r = _as_array(reference)
     d = _as_array(demodulated)
@@ -222,8 +217,8 @@ def snr_db(reference, demodulated, ceiling=SNR_CEILING_DB):
     err = r - g * d
     p_sig = np.mean(np.abs(r) ** 2)
     p_err = np.mean(np.abs(err) ** 2)
-    if p_err <= p_sig * 10.0 ** (-ceiling / 10.0):
-        return float(ceiling)
+    if p_err <= p_sig * 10.0 ** (-SNR_CEILING_DB / 10.0):
+        return SNR_CEILING_DB
     return float(10.0 * np.log10(p_sig / p_err))
 
 

@@ -135,8 +135,7 @@ class Workbench:
         else:
             z_i = apply_dpd(artifact, self.i_rail).samples
             z_q = apply_dpd(artifact, self.q_rail).samples
-        g = v_in / max(np.max(np.abs(z_i)), np.max(np.abs(z_q)))
-        z_i, z_q = z_i * g, z_q * g
+        z_i, z_q = scale_to_peak(np.stack([z_i, z_q]), v_in)
         papr = papr_db(z_i + 1j * z_q)
         out_i = self._channel_fn(0)(self.i_rail.with_samples(z_i))
         out_q = self._channel_fn(1)(self.q_rail.with_samples(z_q))

@@ -61,24 +61,32 @@ def _recycle_freed_arrays():
 _recycle_freed_arrays()
 
 
-def _fir(x, h, c):
-    """y[n] = sum_k h[k] * x[n + c - k] for n in [0, N), x zero outside
-    [0, N), for any N >= 1, K >= 1 and 0 <= c <= K-1."""
-    n, k = len(x), len(h)
+def _rows(x, k, c):
+    """x zero-padded by K-1-c samples in front and cut into rows of
+    b = max(K-1, 16) samples: b, the rows that cover x, and the K-1 samples
+    after each row, as views of one array that BLAS takes without a copy."""
+    n = len(x)
     b = max(k - 1, 16)
     nb = -(-n // b)
     xp = np.zeros((nb + 1) * b)
     xp[k - 1 - c:k - 1 - c + n] = x
+    return b, xp.reshape(nb + 1, b)[:-1], xp[b:].reshape(nb, b)[:, :k - 1]
+
+
+def _fir(x, h, c):
+    """y[n] = sum_k h[k] * x[n + c - k] for n in [0, N), x zero outside
+    [0, N), for any N >= 1, K >= 1 and 0 <= c <= K-1."""
+    n, k = len(x), len(h)
+    b, rows, tails = _rows(x, k, c)
     # t[j, i] = hp[j + b-1 - i] = h[K-1-(j-i)] on the band 0 <= j-i <= K-1,
     # zero elsewhere: a strided view of the padded reversed taps
     hp = np.zeros(2 * b + k - 2)
     hp[b - 1:b - 1 + k] = h[::-1]
     t = np.ndarray((b + k - 1, b), np.float64, hp, hp.itemsize * (b - 1),
                    (hp.itemsize, -hp.itemsize))
-    # row r of output: xp[r*b : r*b + b+K-1] @ t, split at b so both left
-    # operands are strided views of xp that BLAS takes without a copy
-    y = xp.reshape(nb + 1, b)[:-1] @ t[:b]
-    y += xp[b:].reshape(nb, b)[:, :k - 1] @ t[b:]
+    # row r of output: [row r, its tail] @ t, split at b
+    y = rows @ t[:b]
+    y += tails @ t[b:]
     return y.ravel()[:n]
 
 
@@ -100,18 +108,11 @@ def fir_grad_taps(g, x, k):
     _fir, a = sum_r g_r^T [x_r, first K-1 of x_(r+1)] is one (b, b+K-1)
     product, and gh[K-1-d] is the sum of its d-th upper diagonal.
     """
-    n = len(x)
-    c = k // 2
-    b = max(k - 1, 16)
-    nb = -(-n // b)
-    xp = np.zeros((nb + 1) * b)
-    xp[k - 1 - c:k - 1 - c + n] = x
-    gp = np.zeros(nb * b)
-    gp[:n] = g
-    gt = gp.reshape(nb, b).T
+    b, rows, tails = _rows(x, k, k // 2)
+    gt = _rows(g, k, k - 1)[1].T
     a = np.empty((b, b + k - 1))
-    np.matmul(gt, xp.reshape(nb + 1, b)[:-1], out=a[:, :b])
-    np.matmul(gt, xp[b:].reshape(nb, b)[:, :k - 1], out=a[:, b:])
+    np.matmul(gt, rows, out=a[:, :b])
+    np.matmul(gt, tails, out=a[:, b:])
     # a[i, i+d] sits at i*(b+K) + d: row i of this view holds a[i, i:i+K]
     diagonals = np.ndarray((b, k), np.float64, a, 0,
                            (a.itemsize * (b + k), a.itemsize))

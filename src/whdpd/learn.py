@@ -13,9 +13,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .dsp import SampledSignal, rms_normalize, synchronize
+from .dsp import _as_array, rms_normalize, synchronize
 from .model import (FirBlock, PolyNlBlock, WhModel, model_from_dict,
                     model_to_dict, run_cascade, wh_forward)
+
+# Adam's moment decay rates and denominator guard
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+# the fit's relative loss change is measured over this many iterations
+TOL_WINDOW = 10
 
 
 class TrainingDivergedError(RuntimeError):
@@ -40,10 +45,21 @@ def _entries(model):
 
 
 def _layout(entries):
-    """Per block: the tap count of an FIR block, the ascending orders of a
-    polynomial block."""
-    return [tuple(sorted(e)) if isinstance(e, dict) else len(e)
+    """Per block, its coefficients' keys in pack's order: range(K) for the
+    taps of an FIR block, the ascending orders of a polynomial block."""
+    return [tuple(sorted(e)) if isinstance(e, dict) else range(len(e))
             for e in entries]
+
+
+def _split(flat, layout):
+    """A vector in pack's layout cut into one view per block."""
+    parts, end = [], 0
+    for e in layout:
+        parts.append(flat[end:end + len(e)])
+        end += len(e)
+    if flat.shape != (end,):
+        raise ValueError("coefficient vector/model size mismatch")
+    return parts
 
 
 class WhGradients:
@@ -65,8 +81,7 @@ class WhGradients:
 
     @property
     def per_layer(self):
-        sizes = [len(e) if isinstance(e, tuple) else e for e in self.layout]
-        parts = np.split(self.flat, np.cumsum(sizes)[:-1])
+        parts = _split(self.flat, self.layout)
         return [dict(zip(e, map(float, part))) if isinstance(e, tuple)
                 else part.copy() for e, part in zip(self.layout, parts)]
 
@@ -83,18 +98,16 @@ def pack(model):
 def unpack(theta, model):
     """Write theta back into the model's blocks in place (the inverse of
     pack); returns the model."""
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.shape != (sum(len(e) for e in _entries(model)),):
-        raise ValueError("coefficient vector/model size mismatch")
-    pos = 0
-    for block in model.layers:
+    return _unpack(np.asarray(theta, dtype=np.float64), model,
+                   _layout(_entries(model)))
+
+
+def _unpack(theta, model, layout):
+    for block, e, part in zip(model.layers, layout, _split(theta, layout)):
         if isinstance(block, FirBlock):
-            block.taps[:] = theta[pos:pos + block.taps.size]
-            pos += block.taps.size
+            block.taps[:] = part
         else:
-            for m in sorted(block.coeffs):
-                block.coeffs[m] = float(theta[pos])
-                pos += 1
+            block.coeffs.update(zip(e, part.tolist()))
     return model
 
 
@@ -104,8 +117,7 @@ def model_coeff_sumsq(model):
 
 
 def _residual(y_out, reference):
-    y, r = (s.samples if isinstance(s, SampledSignal) else np.asarray(s)
-            for s in (y_out, reference))
+    y, r = _as_array(y_out), _as_array(reference)
     if y.shape != r.shape:
         raise ValueError("output/reference length mismatch")
     return y - r
@@ -176,68 +188,11 @@ def wh_backward(model, intermediates, reference, ridge=0.0, residual=None):
 
 
 @dataclass
-class AdamState:
-    """Adam moments over the packed coefficient vector, plus
-    hyperparameters.
-
-    Taps and nonlinear coefficients get separate learning rates because
-    their magnitudes differ by orders of magnitude in practice. for_model
-    records the model's coefficient layout and which coordinates are FIR
-    taps, once.
-    """
-
-    lr_taps: float = 1e-3
-    lr_nl: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    t: int = 0
-    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    layout: list = field(default=None, init=False, repr=False)
-    taps: np.ndarray = field(default=None, init=False, repr=False)
-
-    @classmethod
-    def for_model(cls, model, **kwargs):
-        state = cls(**kwargs)
-        entries = _entries(model)
-        state.taps = np.repeat([isinstance(b, FirBlock) for b in model.layers],
-                               [len(e) for e in entries])
-        state.m = np.zeros(state.taps.size)
-        state.v = np.zeros(state.taps.size)
-        state.layout = _layout(entries)
-        return state
-
-
-def adam_step(state, model, grads, freeze_nonlinear=False):
-    """One bias-corrected Adam update of pack(model), in place; returns
-    (state, model). Taps step with lr_taps, polynomial coefficients with
-    lr_nl, or not at all when frozen."""
-    if not grads.layout == state.layout == _layout(_entries(model)):
-        raise ValueError("gradient/state/model coefficient layout mismatch")
-    g = grads.flat
-    lr = np.where(state.taps, state.lr_taps,
-                  0.0 if freeze_nonlinear else state.lr_nl)
-    state.t += 1
-    b1, b2 = state.beta1, state.beta2
-    state.m = b1 * state.m + (1.0 - b1) * g
-    state.v = b2 * state.v + (1.0 - b2) * g ** 2
-    m_hat = state.m / (1.0 - b1 ** state.t)
-    v_hat = state.v / (1.0 - b2 ** state.t)
-    unpack(pack(model) - lr * m_hat / (np.sqrt(v_hat) + state.eps), model)
-    return state, model
-
-
-@dataclass
 class FitConfig:
     iterations: int = 2000
     lr_taps: float = 1e-3
     lr_nl: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    tol: float = 1e-9          # relative loss change over tol_window iterations
-    tol_window: int = 10
+    tol: float = 1e-9    # relative loss change over TOL_WINDOW iterations
     ridge: float = 0.0
     freeze_nonlinear: bool = False
 
@@ -248,6 +203,54 @@ class FitConfig:
             raise ValueError("tolerance must be > 0")
         if self.ridge < 0:
             raise ValueError("ridge weight must be >= 0")
+
+
+@dataclass
+class AdamState:
+    """Adam moments over the packed coefficient vector.
+
+    Taps and nonlinear coefficients get separate learning rates because
+    their magnitudes differ by orders of magnitude in practice. for_model
+    records, once, the model's coefficient layout, which coordinates are
+    FIR taps (taps) and each coordinate's learning rate (rate).
+    """
+
+    t: int = 0
+    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    layout: list = field(default=None, init=False, repr=False)
+    taps: np.ndarray = field(default=None, init=False, repr=False)
+    rate: np.ndarray = field(default=None, init=False, repr=False)
+
+    @classmethod
+    def for_model(cls, model, lr_taps=FitConfig.lr_taps,
+                  lr_nl=FitConfig.lr_nl):
+        state = cls()
+        layout = state.layout = _layout(_entries(model))
+        state.taps = np.repeat([isinstance(e, range) for e in layout],
+                               [len(e) for e in layout])
+        state.rate = np.where(state.taps, lr_taps, lr_nl)
+        state.m = np.zeros(state.taps.size)
+        state.v = np.zeros(state.taps.size)
+        return state
+
+
+def adam_step(state, model, grads, freeze_nonlinear=False):
+    """One bias-corrected Adam update of pack(model), in place; returns
+    (state, model). Taps step with lr_taps, polynomial coefficients with
+    lr_nl, or not at all when frozen."""
+    layout = _layout(_entries(model))
+    if not grads.layout == state.layout == layout:
+        raise ValueError("gradient/state/model coefficient layout mismatch")
+    g = grads.flat
+    lr = state.rate * state.taps if freeze_nonlinear else state.rate
+    state.t += 1
+    state.m = BETA1 * state.m + (1.0 - BETA1) * g
+    state.v = BETA2 * state.v + (1.0 - BETA2) * g ** 2
+    m_hat = state.m / (1.0 - BETA1 ** state.t)
+    v_hat = state.v / (1.0 - BETA2 ** state.t)
+    _unpack(pack(model) - lr * m_hat / (np.sqrt(v_hat) + EPS), model, layout)
+    return state, model
 
 
 @dataclass
@@ -281,9 +284,9 @@ def artifact_from_dict(doc):
     return DpdArtifact(
         model=model_from_dict(doc),
         nl_input_amplitudes={int(k): float(v) for k, v
-                             in doc.get("nl_input_amplitudes", {}).items()},
-        final_loss=float(doc.get("final_loss", float("nan"))),
-        iterations=int(doc.get("iterations", 0)))
+                             in doc["nl_input_amplitudes"].items()},
+        final_loss=float(doc["final_loss"]),
+        iterations=int(doc["iterations"]))
 
 
 def _nl_input_amplitudes(model, intermediates):
@@ -299,12 +302,11 @@ def fit_postestimator(received, reference, init, cfg):
 
     received must already be synchronized and RMS-matched to reference.
     Stops at the iteration budget or when the relative loss change over
-    cfg.tol_window iterations drops below cfg.tol. Returns the best model
+    TOL_WINDOW iterations drops below cfg.tol. Returns the best model
     seen (so the final loss never exceeds the initial one).
     """
     model = init.copy()
-    state = AdamState.for_model(model, lr_taps=cfg.lr_taps, lr_nl=cfg.lr_nl,
-                                beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
+    state = AdamState.for_model(model, lr_taps=cfg.lr_taps, lr_nl=cfg.lr_nl)
     n = received.samples.size
     history = []
     best_loss, best_theta, best_inter = np.inf, None, None
@@ -319,9 +321,8 @@ def fit_postestimator(received, reference, init, cfg):
         grads = wh_backward(model, inter, reference, cfg.ridge, residual=r)
         history.append((it, j, grads.norm()))
         adam_step(state, model, grads, cfg.freeze_nonlinear)
-        w = cfg.tol_window
-        if it >= w:
-            prev = history[-1 - w][1]
+        if it >= TOL_WINDOW:
+            prev = history[-1 - TOL_WINDOW][1]
             if prev > 0 and abs(j - prev) / prev < cfg.tol:
                 break
     best_model = unpack(best_theta, model)
@@ -382,12 +383,11 @@ def rescale_artifact(artifact, s):
     """New artifact whose polynomial coefficients are rescaled for an
     amplitude change by factor s (stored amplitudes scaled to match)."""
     model = artifact.model.copy()
-    amps = {}
-    for i, block in enumerate(model.layers):
+    for block in model.layers:
         if isinstance(block, PolyNlBlock):
             block.coeffs = {m: rescale_nl_coeff(a, s, m)
                             for m, a in block.coeffs.items()}
-            amps[i] = artifact.nl_input_amplitudes.get(i, 1.0) * s
+    amps = {i: a * s for i, a in artifact.nl_input_amplitudes.items()}
     return DpdArtifact(model=model, nl_input_amplitudes=amps,
                        final_loss=artifact.final_loss,
                        iterations=artifact.iterations)

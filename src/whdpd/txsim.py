@@ -11,7 +11,7 @@ cubic, keeping the same model mismatch the lab experiment had.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -146,24 +146,9 @@ def paper_like_preset(seed=0):
 # ---------------------------------------------------------------------------
 
 def channel_to_dict(channel):
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "channel": {
-            "dac_bits": channel.dac_bits,
-            "dac_full_scale": channel.dac_full_scale,
-            "pre_fir": {"taps": channel.pre_fir.taps.tolist()},
-            "saturation": {
-                "kind": channel.saturation.kind,
-                "saturation_level": channel.saturation.saturation_level,
-                "gain": channel.saturation.gain,
-            },
-            "post_fir": {"taps": channel.post_fir.taps.tolist()},
-            "mzm": None if channel.mzm is None else {"v_pi": channel.mzm.v_pi},
-            "noise_snr_db": channel.noise_snr_db,
-            "seed": channel.seed,
-        },
-    }
-    return doc
+    body = asdict(channel, dict_factory=lambda items: {
+        k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in items})
+    return {"schema_version": SCHEMA_VERSION, "channel": body}
 
 
 _PARTS = {

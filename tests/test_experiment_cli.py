@@ -9,7 +9,8 @@ from whdpd.cli import ConfigError, build_config, main
 from whdpd.experiment import (ExperimentConfig, Workbench,
                               matched_rms_comparison, run_experiment,
                               sweep_amplitude_with_fixed_dpd)
-from whdpd.learn import FitConfig
+from whdpd.learn import DpdArtifact, FitConfig, artifact_to_dict
+from whdpd.model import WhModel
 from whdpd.txsim import (SaturationSpec, TxChannel, channel_to_dict,
                          paper_like_preset, save_channel)
 
@@ -125,6 +126,13 @@ def test_error_column_holds_the_message(tmp_path):
     assert all(by_mode[r["mode"]] == r["error"] for r in failed)
 
 
+@pytest.mark.parametrize("drive", [0.0, -0.5])
+def test_evaluate_rejects_non_positive_drive(drive):
+    bench = Workbench(tiny_cfg())
+    with pytest.raises(ValueError, match="drive amplitude must be > 0"):
+        bench.evaluate(None, drive)
+
+
 # --- fixed-artifact sweep -------------------------------------------------
 
 def test_fixed_sweep_consistent_with_training_run():
@@ -195,6 +203,41 @@ def test_cli_sweep_fixed(tmp_path):
     assert (tmp_path / "out" / "report_fixed.csv").exists()
 
 
+def write_artifact(path, amplitudes, drop=()):
+    doc = artifact_to_dict(DpdArtifact(model=WhModel.lnl(7, 7, a=-0.02),
+                                       nl_input_amplitudes=amplitudes,
+                                       final_loss=1e-3, iterations=5))
+    for key in drop:
+        del doc[key]
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("key", ["final_loss", "iterations"])
+def test_cli_sweep_fixed_rejects_artifact_without_key(tmp_path, capsys, key):
+    cfg_path = write_config(tmp_path / "cfg.json")
+    art_path = write_artifact(tmp_path / "a.json", {1: 0.5}, drop=[key])
+    assert main(["sweep-fixed", "--config", str(cfg_path),
+                 "--artifact", str(art_path),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report_fixed.csv").exists()
+
+
+@pytest.mark.parametrize("rescale", [[], ["--rescale"]],
+                         ids=["fixed", "rescaled"])
+def test_cli_sweep_fixed_rejects_artifact_without_amplitude(tmp_path, capsys,
+                                                            rescale):
+    cfg_path = write_config(tmp_path / "cfg.json",
+                            sweep={"amplitudes": [0.5, 1.0]})
+    art_path = write_artifact(tmp_path / "a.json", {})
+    assert main(["sweep-fixed", "--config", str(cfg_path),
+                 "--artifact", str(art_path), *rescale,
+                 "--out", str(tmp_path / "out")]) == 1
+    assert ("artifact has no positive stored amplitude for nonlinear block 1"
+            in capsys.readouterr().err)
+
+
 def test_cli_simulate_roundtrip(tmp_path):
     ch_path = tmp_path / "channel.json"
     save_channel(identity_channel(), ch_path)
@@ -246,7 +289,10 @@ def test_build_config_maps_sections_onto_fields():
     {"model": {"k": 7}},
     {"sweep": {"amplitude": [0.5]}},
     {"signal": {"seed": 1}},
-], ids=["signal", "model", "sweep", "repeated"])
+    {"fit": {"beta1": 0.8}},
+    {"fit": {"tol_window": 5}},
+], ids=["signal", "model", "sweep", "repeated", "fit-beta1",
+        "fit-tol_window"])
 def test_build_config_rejects_unknown_or_repeated_keys(doc):
     with pytest.raises(TypeError):
         build_config(doc)
