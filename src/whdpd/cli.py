@@ -1,7 +1,7 @@
 """Command-line experiment runner.
 
 Subcommands: train, sweep, sweep-fixed, complexity, simulate.
-Exit codes: 0 success, 1 config error, 2 training divergence, 3 I/O error.
+Exit codes: 0 success, 1 config or usage error, 2 divergence, 3 I/O error.
 """
 
 import argparse
@@ -104,7 +104,10 @@ def cmd_sweep(args):
 def cmd_sweep_fixed(args):
     doc = _load_json(args.config) if args.config else {}
     cfg, _ = build_config(doc, args.seed, args.preset)
-    artifact = artifact_from_dict(_load_json(args.artifact))
+    try:
+        artifact = artifact_from_dict(_load_json(args.artifact))
+    except KeyError as exc:
+        raise ConfigError(f"artifact {args.artifact} has no key {exc}")
     report = sweep_amplitude_with_fixed_dpd(cfg, artifact,
                                             rescale=args.rescale,
                                             out_dir=args.out)
@@ -132,8 +135,7 @@ def cmd_simulate(args):
     if args.seed is not None:
         channel.seed = args.seed
     samples = np.loadtxt(args.input)
-    sig = SampledSignal(np.atleast_1d(samples), args.sps)
-    out = simulate_tx(channel, sig)
+    out = simulate_tx(channel, SampledSignal(np.atleast_1d(samples)))
     np.savetxt(args.output, out.samples)
     print(f"wrote {out.samples.size} samples to {args.output}")
     return EXIT_OK
@@ -179,8 +181,6 @@ def make_parser():
     sp.add_argument("--channel", help="channel JSON file")
     sp.add_argument("--preset", choices=sorted(PRESETS))
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--sps", type=float, default=2.0,
-                    help="samples per symbol metadata for the waveform")
     sp.add_argument("--input", required=True, help="waveform CSV, one sample per line")
     sp.add_argument("--output", required=True)
     sp.set_defaults(func=cmd_simulate)
@@ -188,8 +188,10 @@ def make_parser():
 
 
 def main(argv=None):
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = make_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on misuse
+        return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
         return args.func(args)
     except TrainingDivergedError as exc:

@@ -121,7 +121,7 @@ class Workbench:
     def train(self, v_in, freeze_nonlinear=False):
         """Indirect learning at drive v_in on the I rail."""
         cfg = self.cfg
-        fit = replace(cfg.fit, freeze_nonlinear=freeze_nonlinear)
+        fit = replace(cfg.fit, lr_nl=0.0) if freeze_nonlinear else cfg.fit
         drive = self.i_rail.with_samples(
             scale_to_peak(self.i_rail.samples, v_in))
         init = WhModel.lnl(cfg.k1, cfg.k2)

@@ -5,7 +5,7 @@ pre-distorter.
 Gradients are normalized by the sample count N (pure learning-rate
 rescaling; fixed points are unchanged) so tolerances and learning rates are
 length-independent. The training objective is therefore
-(0.5*||y - ref||^2 + ridge * sum(theta^2)) / N.
+0.5*||y - ref||^2 / N.
 """
 
 from dataclasses import dataclass, field
@@ -111,11 +111,6 @@ def _unpack(theta, model, layout):
     return model
 
 
-def model_coeff_sumsq(model):
-    theta = pack(model)
-    return float(theta @ theta)
-
-
 def _residual(y_out, reference):
     y, r = _as_array(y_out), _as_array(reference)
     if y.shape != r.shape:
@@ -123,20 +118,16 @@ def _residual(y_out, reference):
     return y - r
 
 
-def _energy(residual, model, ridge):
-    e = 0.5 * float(kernels.inner(residual, residual))
-    if ridge > 0.0 and model is not None:
-        e += ridge * model_coeff_sumsq(model)
-    return e
+def _energy(residual):
+    return 0.5 * float(kernels.inner(residual, residual))
 
 
-def loss(y_out, reference, model=None, ridge=0.0):
-    """0.5 * r.r with r = y - ref, plus ridge * sum(theta^2) when
-    configured."""
-    return _energy(_residual(y_out, reference), model, ridge)
+def loss(y_out, reference):
+    """0.5 * r.r with r = y - ref."""
+    return _energy(_residual(y_out, reference))
 
 
-def wh_backward(model, intermediates, reference, ridge=0.0, residual=None):
+def wh_backward(model, intermediates, reference, residual=None):
     """Exact gradients of the normalized loss w.r.t. every coefficient.
 
     intermediates must come from wh_forward on the same model and input: one
@@ -145,8 +136,7 @@ def wh_backward(model, intermediates, reference, ridge=0.0, residual=None):
     gradients are the adjoint of the same-length zero-padded convolution
     (correlation with the flipped filter restricted to the same window);
     polynomial gradients are dE/da_m = sum_n g_n y_n^m with local slope
-    1 + sum m a_m y^(m-1), both from one chain of powers of y. A ridge
-    weight adds its term 2*ridge*theta/N to every coefficient.
+    1 + sum m a_m y^(m-1), both from one chain of powers of y.
     """
     if len(intermediates) != len(model.layers) + 1:
         raise ValueError("intermediates do not match the model")
@@ -180,10 +170,7 @@ def wh_backward(model, intermediates, reference, ridge=0.0, residual=None):
                 slope = kernels.poly_slope(p, orders, block.values())
                 slope *= g
                 g = slope
-    n = residual.size
-    flat /= n
-    if ridge > 0.0:
-        flat += (2.0 * ridge / n) * pack(model)
+    flat /= residual.size
     return WhGradients(entries, flat)
 
 
@@ -193,16 +180,12 @@ class FitConfig:
     lr_taps: float = 1e-3
     lr_nl: float = 1e-4
     tol: float = 1e-9    # relative loss change over TOL_WINDOW iterations
-    ridge: float = 0.0
-    freeze_nonlinear: bool = False
 
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iteration budget must be >= 1")
         if self.tol <= 0:
             raise ValueError("tolerance must be > 0")
-        if self.ridge < 0:
-            raise ValueError("ridge weight must be >= 0")
 
 
 @dataclass
@@ -210,16 +193,15 @@ class AdamState:
     """Adam moments over the packed coefficient vector.
 
     Taps and nonlinear coefficients get separate learning rates because
-    their magnitudes differ by orders of magnitude in practice. for_model
-    records, once, the model's coefficient layout, which coordinates are
-    FIR taps (taps) and each coordinate's learning rate (rate).
+    their magnitudes differ by orders of magnitude in practice; a zero
+    lr_nl holds the nonlinearity fixed. for_model records, once, the
+    model's coefficient layout and each coordinate's learning rate (rate).
     """
 
     t: int = 0
     m: np.ndarray = field(default_factory=lambda: np.zeros(0))
     v: np.ndarray = field(default_factory=lambda: np.zeros(0))
     layout: list = field(default=None, init=False, repr=False)
-    taps: np.ndarray = field(default=None, init=False, repr=False)
     rate: np.ndarray = field(default=None, init=False, repr=False)
 
     @classmethod
@@ -227,29 +209,28 @@ class AdamState:
                   lr_nl=FitConfig.lr_nl):
         state = cls()
         layout = state.layout = _layout(_entries(model))
-        state.taps = np.repeat([isinstance(e, range) for e in layout],
-                               [len(e) for e in layout])
-        state.rate = np.where(state.taps, lr_taps, lr_nl)
-        state.m = np.zeros(state.taps.size)
-        state.v = np.zeros(state.taps.size)
+        state.rate = np.repeat([lr_taps if isinstance(e, range) else lr_nl
+                                for e in layout], [len(e) for e in layout])
+        state.m = np.zeros(state.rate.size)
+        state.v = np.zeros(state.rate.size)
         return state
 
 
-def adam_step(state, model, grads, freeze_nonlinear=False):
+def adam_step(state, model, grads):
     """One bias-corrected Adam update of pack(model), in place; returns
     (state, model). Taps step with lr_taps, polynomial coefficients with
-    lr_nl, or not at all when frozen."""
+    lr_nl."""
     layout = _layout(_entries(model))
     if not grads.layout == state.layout == layout:
         raise ValueError("gradient/state/model coefficient layout mismatch")
     g = grads.flat
-    lr = state.rate * state.taps if freeze_nonlinear else state.rate
     state.t += 1
     state.m = BETA1 * state.m + (1.0 - BETA1) * g
     state.v = BETA2 * state.v + (1.0 - BETA2) * g ** 2
     m_hat = state.m / (1.0 - BETA1 ** state.t)
     v_hat = state.v / (1.0 - BETA2 ** state.t)
-    _unpack(pack(model) - lr * m_hat / (np.sqrt(v_hat) + EPS), model, layout)
+    _unpack(pack(model) - state.rate * m_hat / (np.sqrt(v_hat) + EPS),
+            model, layout)
     return state, model
 
 
@@ -263,12 +244,6 @@ class DpdArtifact:
     final_loss: float
     iterations: int
     history: list = field(default_factory=list, repr=False)
-
-    @property
-    def stored_nl_input_amplitude(self):
-        if not self.nl_input_amplitudes:
-            return 1.0
-        return max(self.nl_input_amplitudes.values())
 
 
 def artifact_to_dict(artifact):
@@ -313,14 +288,14 @@ def fit_postestimator(received, reference, init, cfg):
     for it in range(cfg.iterations):
         out, inter = wh_forward(model, received)
         r = _residual(out, reference)
-        j = _energy(r, model, cfg.ridge) / n
+        j = _energy(r) / n
         if not np.isfinite(j):
             raise TrainingDivergedError(it)
         if j < best_loss:
             best_loss, best_theta, best_inter = j, pack(model), inter
-        grads = wh_backward(model, inter, reference, cfg.ridge, residual=r)
+        grads = wh_backward(model, inter, reference, residual=r)
         history.append((it, j, grads.norm()))
-        adam_step(state, model, grads, cfg.freeze_nonlinear)
+        adam_step(state, model, grads)
         if it >= TOL_WINDOW:
             prev = history[-1 - TOL_WINDOW][1]
             if prev > 0 and abs(j - prev) / prev < cfg.tol:

@@ -85,10 +85,30 @@ def _raw_rrc(beta, span, sps):
                 (1 + 2 / np.pi) * np.sin(np.pi / (4 * beta))
                 + (1 - 2 / np.pi) * np.cos(np.pi / (4 * beta)))
         else:
-            out[i] = (np.sin(np.pi * ti * (1 - beta))
-                      + 4 * beta * ti * np.cos(np.pi * ti * (1 + beta))) / (
-                np.pi * ti * (1 - (4 * beta * ti) ** 2))
+            out[i] = _rrc_formula(beta, ti)
     return out
+
+
+def _rrc_formula(beta, t):
+    # the general RRC expression, 0/0 at t = 0 and t = +-1/(4 beta)
+    return (np.sin(np.pi * t * (1 - beta))
+            + 4 * beta * t * np.cos(np.pi * t * (1 + beta))) / (
+        np.pi * t * (1 - (4 * beta * t) ** 2))
+
+
+@pytest.mark.parametrize("beta", [0.25, 0.5])
+def test_rrc_tap_at_quarter_over_rolloff_is_the_limit(beta):
+    # at sps = 2, t = +-1/(4 beta) falls on a tap, where the general formula
+    # is 0/0; that tap must equal the formula's limit there (taken as the
+    # mean of both sides), relative to the centre tap
+    taps = rrc_taps(RrcSpec(beta, 8, 2))
+    centre = len(taps) // 2
+    k = round(2 / (4 * beta))
+    t0, h = 1 / (4 * beta), 1e-6
+    limit = 0.5 * (_rrc_formula(beta, t0 - h) + _rrc_formula(beta, t0 + h))
+    expected = limit / (1 - beta + 4 * beta / np.pi)
+    for i in (centre - k, centre + k):
+        assert taps[i] / taps[centre] == pytest.approx(expected, rel=1e-9)
 
 
 def test_rrc_cascade_is_isi_free():

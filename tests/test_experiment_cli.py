@@ -220,7 +220,8 @@ def test_cli_sweep_fixed_rejects_artifact_without_key(tmp_path, capsys, key):
     assert main(["sweep-fixed", "--config", str(cfg_path),
                  "--artifact", str(art_path),
                  "--out", str(tmp_path / "out")]) == 1
-    assert key in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert key in err and str(art_path) in err
     assert not (tmp_path / "out" / "report_fixed.csv").exists()
 
 
@@ -273,6 +274,19 @@ def test_cli_exit_codes(tmp_path):
                  "--output", str(tmp_path / "o.csv")]) == 3
 
 
+@pytest.mark.parametrize("argv", [["sweep", "--bogus"], [],
+                                  ["train", "--seed", "x"]],
+                         ids=["unknown-flag", "no-subcommand", "bad-seed"])
+def test_cli_usage_error_exits_1(argv, capsys):
+    assert main(argv) == 1
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_cli_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert "usage:" in capsys.readouterr().out
+
+
 def test_build_config_maps_sections_onto_fields():
     cfg, _ = build_config({"signal": {"n_symbols": 64, "rolloff": 0.3},
                            "model": {"k1": 5},
@@ -291,8 +305,9 @@ def test_build_config_maps_sections_onto_fields():
     {"signal": {"seed": 1}},
     {"fit": {"beta1": 0.8}},
     {"fit": {"tol_window": 5}},
+    {"fit": {"ridge": 0.1}},
 ], ids=["signal", "model", "sweep", "repeated", "fit-beta1",
-        "fit-tol_window"])
+        "fit-tol_window", "fit-ridge"])
 def test_build_config_rejects_unknown_or_repeated_keys(doc):
     with pytest.raises(TypeError):
         build_config(doc)

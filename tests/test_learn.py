@@ -86,13 +86,6 @@ def test_loss_hand_case():
     assert loss(sig([1.0, 1.0]), sig([0.0, 0.0])) == pytest.approx(1.0)
 
 
-def test_loss_ridge_term():
-    model = WhModel([FirBlock([2.0])])
-    r = sig([0.0])
-    out, _ = wh_forward(model, r)
-    assert loss(out, sig([0.0]), model, ridge=0.1) == pytest.approx(0.4)
-
-
 def test_loss_rejects_length_mismatch():
     with pytest.raises(ValueError):
         loss(sig([1.0]), sig([1.0, 2.0]))
@@ -389,9 +382,9 @@ def test_adam_step_frozen_nonlinearity_is_bitwise_unchanged():
     coeffs = dict(model.layers[1].coeffs)
     taps = model.layers[0].taps.copy()
     grads = WhGradients([np.ones(3), {3: -0.7, 2: 2.5}, np.ones(2)])
-    state = AdamState.for_model(model)
+    state = AdamState.for_model(model, lr_nl=0.0)
     for _ in range(3):
-        adam_step(state, model, grads, freeze_nonlinear=True)
+        adam_step(state, model, grads)
     assert model.layers[1].coeffs == coeffs
     assert not np.array_equal(model.layers[0].taps, taps)
 
@@ -420,7 +413,7 @@ def test_fit_already_optimal():
     art = fit_postestimator(ref, ref, WhModel.lnl(5, 5),
                             FitConfig(iterations=50))
     assert art.final_loss == pytest.approx(0.0, abs=1e-15)
-    assert art.stored_nl_input_amplitude > 0
+    assert max(art.nl_input_amplitudes.values()) > 0
 
 
 def test_fit_inverts_known_lnl_distortion():
@@ -452,7 +445,7 @@ def test_fit_freeze_nonlinear_keeps_a_zero():
     ref = sig(rng.normal(size=512) * 0.4, 2)
     received, _ = wh_forward(WhModel.lnl(5, 5, a=0.1), ref)
     art = fit_postestimator(received, ref, WhModel.lnl(5, 5),
-                            FitConfig(iterations=100, freeze_nonlinear=True))
+                            FitConfig(iterations=100, lr_nl=0.0))
     a3 = [b.coeffs[3] for b in art.model.layers
           if isinstance(b, PolyNlBlock)][0]
     assert a3 == 0.0
@@ -517,13 +510,17 @@ def _glibc():
 
 
 @pytest.mark.skipif(not _glibc(), reason="malloc thresholds are set on glibc")
-def test_repeated_fit_reuses_freed_array_memory():
+def test_repeated_fit_reuses_freed_array_memory(tmp_path):
     # a fresh interpreter, so only whdpd has set up malloc; each 1 MiB array
-    # faulted back in costs 256 pages
+    # faulted back in costs 256 pages. An empty bytecode cache makes it
+    # compile every module from source, so no .pyc left beside the sources
+    # changes what it allocates before the fits.
     src = str(Path(learn.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep)
-                 if p]))
+    env = dict(os.environ, PYTHONPYCACHEPREFIX=str(tmp_path),
+               PYTHONPATH=os.pathsep.join(
+                   [src] + [p for p in os.environ.get("PYTHONPATH",
+                                                      "").split(os.pathsep)
+                            if p]))
     done = subprocess.run([sys.executable, "-c", FIT_PAGE_FAULTS], env=env,
                           capture_output=True, text=True, check=True)
     assert int(done.stdout) < 256
@@ -569,18 +566,6 @@ def test_paper_point_fit_keeps_to_one_thread():
     done = subprocess.run([sys.executable, "-c", FIT_THREAD_USE], env=env,
                           capture_output=True, text=True, check=True)
     assert float(done.stdout) < 1.4
-
-
-def test_fit_ridge_shrinks_coefficients():
-    rng = np.random.default_rng(11)
-    ref = sig(rng.normal(size=512), 2)
-    received, _ = wh_forward(WhModel([FirBlock([0.2, 1.0, 0.2])]), ref)
-    art0 = fit_postestimator(received, ref, WhModel.lnl(7, 7),
-                             FitConfig(iterations=300))
-    art1 = fit_postestimator(received, ref, WhModel.lnl(7, 7),
-                             FitConfig(iterations=300, ridge=10.0))
-    from whdpd.learn import model_coeff_sumsq
-    assert model_coeff_sumsq(art1.model) < model_coeff_sumsq(art0.model)
 
 
 def test_fit_capture_shorter_than_half_filter():
