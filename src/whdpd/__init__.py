@@ -9,8 +9,7 @@ from .learn import (AdamState, DpdArtifact, FitConfig, TrainingDivergedError,
                     indirect_learn, loss, rescale_artifact, rescale_nl_coeff,
                     wh_backward)
 from .model import (ComplexityReport, FirBlock, PolyNlBlock, WhModel,
-                    complexity, fir_apply, load_model, nl_apply, save_model,
-                    wh_forward)
+                    complexity, fir_apply, nl_apply, wh_forward)
 from .txsim import (MzmSpec, SaturationSpec, TxChannel, paper_like_preset,
                     quantize, saturate, simulate_tx)
 

@@ -15,9 +15,8 @@ from .dsp import SampledSignal
 from .experiment import (ExperimentConfig, Workbench, run_experiment,
                          save_artifact, sweep_amplitude_with_fixed_dpd)
 from .learn import FitConfig, TrainingDivergedError, artifact_from_dict
-from .model import complexity, load_model
-from .txsim import (channel_from_dict, load_channel, paper_like_preset,
-                    simulate_tx)
+from .model import complexity, model_from_dict
+from .txsim import channel_from_dict, paper_like_preset, simulate_tx
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -34,16 +33,25 @@ class ConfigError(ValueError):
     pass
 
 
-def _load_json(path):
+def _read(path, parse=dict):
+    """parse applied to the JSON document in the file at path. A document
+    that parse rejects (KeyError, TypeError, ValueError) raises a
+    ConfigError naming the file; an unreadable file raises OSError."""
     with open(path) as f:
-        return json.load(f)
+        try:
+            return parse(json.load(f))
+        except KeyError as exc:
+            raise ConfigError(f"{path} has no key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
 
 
-def build_config(doc, seed=None, preset=None):
-    """ExperimentConfig from a JSON config document plus CLI overrides.
-    Section keys are ExperimentConfig (signal, model, sweep) and FitConfig
-    (fit) field names; an unknown or repeated key raises."""
-    doc = doc or {}
+def build_config(doc, seed=None):
+    """ExperimentConfig from a JSON config document and the --seed
+    override. Section keys are ExperimentConfig (signal, model, sweep) and
+    FitConfig (fit) field names; an unknown or repeated key raises. The
+    channel key is a preset name (default "paper-like") or a channel
+    object."""
     unknown = sorted(set(doc) - CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config key(s) {unknown}; "
@@ -54,8 +62,6 @@ def build_config(doc, seed=None, preset=None):
                           "'linear' sweep mode or train --linear-only")
 
     channel_doc = doc.get("channel", "paper-like")
-    if preset is not None:
-        channel_doc = preset
     if isinstance(channel_doc, str):
         if channel_doc not in PRESETS:
             raise ConfigError(f"unknown channel preset {channel_doc!r}")
@@ -70,9 +76,13 @@ def build_config(doc, seed=None, preset=None):
     return cfg, doc
 
 
+def _config(args):
+    """(ExperimentConfig, config document) from --config and --seed."""
+    return build_config(_read(args.config) if args.config else {}, args.seed)
+
+
 def cmd_train(args):
-    doc = _load_json(args.config) if args.config else {}
-    cfg, doc = build_config(doc, args.seed, args.preset)
+    cfg, doc = _config(args)
     v = doc.get("train_amplitude", cfg.amplitudes[0])
     artifact = Workbench(cfg).train(v, freeze_nonlinear=args.linear_only)
     out = Path(args.out)
@@ -84,8 +94,7 @@ def cmd_train(args):
 
 
 def cmd_sweep(args):
-    doc = _load_json(args.config) if args.config else {}
-    cfg, _ = build_config(doc, args.seed, args.preset)
+    cfg, _ = _config(args)
     report, _ = run_experiment(cfg, out_dir=args.out)
     for row in report.rows:
         print(f"v_in={row['v_in']:<6} mode={row['mode']:<8} "
@@ -102,12 +111,8 @@ def cmd_sweep(args):
 
 
 def cmd_sweep_fixed(args):
-    doc = _load_json(args.config) if args.config else {}
-    cfg, _ = build_config(doc, args.seed, args.preset)
-    try:
-        artifact = artifact_from_dict(_load_json(args.artifact))
-    except KeyError as exc:
-        raise ConfigError(f"artifact {args.artifact} has no key {exc}")
+    cfg, _ = _config(args)
+    artifact = _read(args.artifact, artifact_from_dict)
     report = sweep_amplitude_with_fixed_dpd(cfg, artifact,
                                             rescale=args.rescale,
                                             out_dir=args.out)
@@ -118,7 +123,7 @@ def cmd_sweep_fixed(args):
 
 
 def cmd_complexity(args):
-    model = load_model(args.model)
+    model = _read(args.model, model_from_dict)
     rep = complexity(model)
     print(f"multiplications_per_sample: {rep.multiplications_per_sample}")
     print(f"additions_per_sample: {rep.additions_per_sample}")
@@ -128,10 +133,8 @@ def cmd_complexity(args):
 def cmd_simulate(args):
     if args.preset:
         channel = PRESETS[args.preset]()
-    elif args.channel:
-        channel = load_channel(args.channel)
     else:
-        raise ConfigError("simulate needs --channel or --preset")
+        channel = _read(args.channel, channel_from_dict)
     if args.seed is not None:
         channel.seed = args.seed
     samples = np.loadtxt(args.input)
@@ -148,9 +151,9 @@ def make_parser():
 
     def common(sp):
         sp.add_argument("--config", help="JSON experiment config")
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--preset", choices=sorted(PRESETS),
-                        help="channel preset overriding the config")
+        sp.add_argument("--seed", type=int, default=None,
+                        help="seed of the data bits (overrides the "
+                        "config's seed)")
 
     sp = sub.add_parser("train", help="fit a DPD artifact against the channel")
     common(sp)
@@ -178,9 +181,12 @@ def make_parser():
     sp.set_defaults(func=cmd_complexity)
 
     sp = sub.add_parser("simulate", help="channel forward pass on a waveform")
-    sp.add_argument("--channel", help="channel JSON file")
-    sp.add_argument("--preset", choices=sorted(PRESETS))
-    sp.add_argument("--seed", type=int, default=None)
+    source = sp.add_mutually_exclusive_group(required=True)
+    source.add_argument("--channel", help="channel JSON file")
+    source.add_argument("--preset", choices=sorted(PRESETS))
+    sp.add_argument("--seed", type=int, default=None,
+                    help="seed of the channel noise (overrides the "
+                    "channel's seed)")
     sp.add_argument("--input", required=True, help="waveform CSV, one sample per line")
     sp.add_argument("--output", required=True)
     sp.set_defaults(func=cmd_simulate)
@@ -197,8 +203,7 @@ def main(argv=None):
     except TrainingDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (ConfigError, ValueError, KeyError, TypeError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -51,6 +51,9 @@ class ExperimentConfig:
     modes: tuple = MODES
 
     def __post_init__(self):
+        for name in ("k1", "k2"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         amps = tuple(self.amplitudes)
         if any(a <= 0 for a in amps):
             raise ValueError("amplitudes must all be > 0")

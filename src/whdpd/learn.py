@@ -184,8 +184,13 @@ class FitConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iteration budget must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tolerance must be > 0")
+        # written so that NaN fails each check; a zero rate holds its
+        # coefficients fixed
+        for name in ("lr_taps", "lr_nl"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
+        if not 0 < self.tol < np.inf:
+            raise ValueError("tol must be finite and > 0")
 
 
 @dataclass

@@ -7,7 +7,6 @@ center tap at index K//2, so a unit-impulse filter with odd K is exactly
 the identity.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -196,13 +195,3 @@ def model_from_dict(doc):
         else:
             raise ValueError(f"unknown block kind {entry['kind']!r}")
     return WhModel(layers)
-
-
-def save_model(model, path):
-    with open(path, "w") as f:
-        json.dump(model_to_dict(model), f, indent=2)
-
-
-def load_model(path):
-    with open(path) as f:
-        return model_from_dict(json.load(f))

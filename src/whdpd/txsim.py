@@ -10,7 +10,6 @@ amplifier is the arctan saturation model while the DPD nonlinearity stays
 cubic, keeping the same model mismatch the lab experiment had.
 """
 
-import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -165,13 +164,3 @@ def channel_from_dict(doc):
     TypeError."""
     return TxChannel(**{k: _PARTS[k](v) if k in _PARTS else v
                         for k, v in doc["channel"].items()})
-
-
-def save_channel(channel, path):
-    with open(path, "w") as f:
-        json.dump(channel_to_dict(channel), f, indent=2)
-
-
-def load_channel(path):
-    with open(path) as f:
-        return channel_from_dict(json.load(f))

@@ -247,6 +247,21 @@ def test_rms_normalize_rejects_zero():
         rms_normalize(SampledSignal(np.zeros(4)), 1.0)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: ConstellationSpec(8), "order must be 4, 16 or 64"),
+    (lambda: RrcSpec(0.2, 7, 2), "span_symbols must be a positive even"),
+    (lambda: RrcSpec(0.2, 8, 0), "samples_per_symbol must be positive"),
+    (lambda: synchronize(_ref_signal(64), _ref_signal(32)),
+     "received shorter than reference"),
+    (lambda: rms_normalize(SampledSignal(np.ones(4)), 0.0),
+     "target_rms must be > 0"),
+], ids=["qam-order", "rrc-odd-span", "rrc-sps", "short-capture",
+        "rms-target"])
+def test_dsp_rejects_bad_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 # --- SNR ------------------------------------------------------------------
 
 def test_snr_ceiling_on_equal_signals():

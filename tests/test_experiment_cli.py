@@ -1,18 +1,21 @@
 import csv
 import json
 import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from whdpd.cli import ConfigError, build_config, main
+from whdpd.cli import ConfigError, build_config, main, make_parser
+from whdpd.dsp import SampledSignal
 from whdpd.experiment import (ExperimentConfig, Workbench,
                               matched_rms_comparison, run_experiment,
-                              sweep_amplitude_with_fixed_dpd)
+                              scale_to_peak, sweep_amplitude_with_fixed_dpd)
 from whdpd.learn import DpdArtifact, FitConfig, artifact_to_dict
 from whdpd.model import WhModel
 from whdpd.txsim import (SaturationSpec, TxChannel, channel_to_dict,
-                         paper_like_preset, save_channel)
+                         paper_like_preset, simulate_tx)
 
 
 def tiny_cfg(**over):
@@ -133,6 +136,11 @@ def test_evaluate_rejects_non_positive_drive(drive):
         bench.evaluate(None, drive)
 
 
+def test_scale_to_peak_rejects_all_zero_signal():
+    with pytest.raises(ValueError, match="all-zero signal"):
+        scale_to_peak(np.zeros(8), 1.0)
+
+
 # --- fixed-artifact sweep -------------------------------------------------
 
 def test_fixed_sweep_consistent_with_training_run():
@@ -165,7 +173,7 @@ def write_config(path, **over):
 
 def test_cli_train_and_complexity(tmp_path, capsys):
     cfg_path = write_config(tmp_path / "cfg.json", train_amplitude=0.5)
-    rc = main(["train", "--config", str(cfg_path), "--preset", "paper-like",
+    rc = main(["train", "--config", str(cfg_path),
                "--out", str(tmp_path / "out")])
     assert rc == 0
     artifact_path = tmp_path / "out" / "artifact.json"
@@ -184,7 +192,7 @@ def test_cli_train_and_complexity(tmp_path, capsys):
 
 def test_cli_sweep_writes_report(tmp_path):
     cfg_path = write_config(tmp_path / "cfg.json")
-    rc = main(["sweep", "--config", str(cfg_path), "--preset", "paper-like",
+    rc = main(["sweep", "--config", str(cfg_path),
                "--out", str(tmp_path / "out")])
     assert rc == 0
     lines = (tmp_path / "out" / "report.csv").read_text().splitlines()
@@ -193,10 +201,9 @@ def test_cli_sweep_writes_report(tmp_path):
 
 def test_cli_sweep_fixed(tmp_path):
     cfg_path = write_config(tmp_path / "cfg.json", train_amplitude=0.5)
-    assert main(["train", "--config", str(cfg_path), "--preset", "paper-like",
+    assert main(["train", "--config", str(cfg_path),
                  "--out", str(tmp_path / "t")]) == 0
     rc = main(["sweep-fixed", "--config", str(cfg_path),
-               "--preset", "paper-like",
                "--artifact", str(tmp_path / "t" / "artifact.json"),
                "--out", str(tmp_path / "out")])
     assert rc == 0
@@ -241,7 +248,7 @@ def test_cli_sweep_fixed_rejects_artifact_without_amplitude(tmp_path, capsys,
 
 def test_cli_simulate_roundtrip(tmp_path):
     ch_path = tmp_path / "channel.json"
-    save_channel(identity_channel(), ch_path)
+    ch_path.write_text(json.dumps(channel_to_dict(identity_channel())))
     wave = tmp_path / "in.csv"
     np.savetxt(wave, np.sin(np.arange(64) * 0.3))
     rc = main(["simulate", "--channel", str(ch_path),
@@ -249,6 +256,39 @@ def test_cli_simulate_roundtrip(tmp_path):
     assert rc == 0
     out = np.loadtxt(tmp_path / "out.csv")
     assert np.allclose(out, np.sin(np.arange(64) * 0.3), atol=1e-9)
+
+
+def test_cli_simulate_seed_sets_the_noise(tmp_path):
+    x = np.sin(np.arange(64) * 0.3) * 0.5
+    wave = tmp_path / "in.csv"
+    np.savetxt(wave, x)
+    outs = []
+    for seed in ([], ["--seed", "5"]):
+        out_path = tmp_path / f"out{len(outs)}.csv"
+        assert main(["simulate", "--preset", "paper-like", *seed,
+                     "--input", str(wave), "--output", str(out_path)]) == 0
+        outs.append(np.loadtxt(out_path))
+    expected = simulate_tx(paper_like_preset(seed=5), SampledSignal(x))
+    assert np.array_equal(outs[1], expected.samples)
+    assert not np.array_equal(outs[0], outs[1])
+
+
+@pytest.mark.parametrize("command, doc, key", [
+    ("complexity", {"nl_input_amplitudes": {}}, "'layers'"),
+    ("simulate", {"dac_bits": 8}, "'channel'"),
+], ids=["model-without-layers", "channel-without-channel"])
+def test_cli_names_the_file_it_cannot_read(tmp_path, capsys, command, doc,
+                                           key):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    wave = tmp_path / "in.csv"
+    np.savetxt(wave, np.zeros(8))
+    argv = (["complexity", "--model", str(path)] if command == "complexity"
+            else ["simulate", "--channel", str(path), "--input", str(wave),
+                  "--output", str(tmp_path / "out.csv")])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and key in err
 
 
 def test_cli_exit_codes(tmp_path):
@@ -266,7 +306,7 @@ def test_cli_exit_codes(tmp_path):
                             fit={"iterations": 30, "lr_taps": 1e120})
     with np.errstate(over="ignore", invalid="ignore"):
         rc = main(["train", "--config", str(cfg_path),
-                   "--preset", "paper-like", "--out", str(tmp_path / "o")])
+                   "--out", str(tmp_path / "o")])
     assert rc == 2
 
     assert main(["simulate", "--preset", "paper-like",
@@ -274,9 +314,16 @@ def test_cli_exit_codes(tmp_path):
                  "--output", str(tmp_path / "o.csv")]) == 3
 
 
-@pytest.mark.parametrize("argv", [["sweep", "--bogus"], [],
-                                  ["train", "--seed", "x"]],
-                         ids=["unknown-flag", "no-subcommand", "bad-seed"])
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--bogus"], [], ["train", "--seed", "x"],
+    ["train", "--preset", "paper-like"], ["sweep", "--preset", "paper-like"],
+    ["sweep-fixed", "--preset", "paper-like", "--artifact", "a.json"],
+    ["simulate", "--input", "in.csv", "--output", "out.csv"],
+    ["simulate", "--channel", "c.json", "--preset", "paper-like",
+     "--input", "in.csv", "--output", "out.csv"],
+], ids=["unknown-flag", "no-subcommand", "bad-seed", "train-preset",
+        "sweep-preset", "sweep-fixed-preset", "simulate-no-channel",
+        "simulate-channel-and-preset"])
 def test_cli_usage_error_exits_1(argv, capsys):
     assert main(argv) == 1
     assert "usage:" in capsys.readouterr().err
@@ -311,6 +358,65 @@ def test_build_config_maps_sections_onto_fields():
 def test_build_config_rejects_unknown_or_repeated_keys(doc):
     with pytest.raises(TypeError):
         build_config(doc)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"fit": {"lr_nl": -1.0}}, "lr_nl must be finite and >= 0"),
+    ({"fit": {"lr_taps": float("nan")}}, "lr_taps must be finite and >= 0"),
+    ({"fit": {"lr_taps": float("inf")}}, "lr_taps must be finite and >= 0"),
+    ({"fit": {"tol": 0}}, "tol must be finite and > 0"),
+    ({"fit": {"tol": float("nan")}}, "tol must be finite and > 0"),
+    ({"fit": {"iterations": 0}}, "iteration budget must be >= 1"),
+    ({"model": {"k1": 0}}, "k1 must be >= 1"),
+    ({"model": {"k2": -3}}, "k2 must be >= 1"),
+    ({"channel": "lab"}, "unknown channel preset 'lab'"),
+], ids=["lr_nl-negative", "lr_taps-nan", "lr_taps-inf", "tol-zero",
+        "tol-nan", "iterations-zero", "k1-zero", "k2-negative",
+        "unknown-preset"])
+def test_build_config_rejects_bad_values(doc, message):
+    with pytest.raises(ValueError, match=message):
+        build_config(doc)
+
+
+@pytest.mark.parametrize("command, over, message", [
+    ("train", {"model": {"k1": 0}}, "k1 must be >= 1"),
+    ("sweep", {"model": {"k1": 0}}, "k1 must be >= 1"),
+    ("train", {"fit": {"lr_nl": -1.0}}, "lr_nl must be finite"),
+    ("train", {"fit": {"lr_taps": float("nan")}}, "lr_taps must be finite"),
+], ids=["train-k1", "sweep-k1", "train-lr_nl", "train-lr_taps-nan"])
+def test_cli_rejects_bad_config_value(tmp_path, capsys, command, over,
+                                      message):
+    cfg_path = write_config(tmp_path / "cfg.json", **over)
+    assert main([command, "--config", str(cfg_path),
+                 "--out", str(tmp_path / "o")]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_runs_the_config_channel(tmp_path):
+    channel = channel_to_dict(identity_channel())["channel"]
+    cfg_path = write_config(tmp_path / "cfg.json", channel=channel,
+                            sweep={"amplitudes": [0.5], "modes": ["no-dpd"]})
+    assert main(["sweep", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "o")]) == 0
+    with open(tmp_path / "o" / "report.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [row["snr_db"] for row in rows] == ["100"]
+
+
+def test_readme_examples_parse():
+    # the example config builds, and every whdpd command line in the README
+    # parses, so a removed key or flag cannot linger in the docs
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    config = re.search(r"Example config:\s*```json\n(.*?)```", readme,
+                       re.S).group(1)
+    build_config(json.loads(config))
+    lines = [line for line in readme.replace("\\\n", " ").splitlines()
+             if line.startswith("whdpd ")]
+    assert len(lines) >= 5
+    parser = make_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])
 
 
 def test_build_config_rejects_unknown_top_level_key():
@@ -363,7 +469,7 @@ def test_cli_sweep_exits_2_on_divergence_and_keeps_report(tmp_path):
                             fit={"iterations": 30, "lr_taps": 1e120})
     with np.errstate(over="ignore", invalid="ignore"):
         rc = main(["sweep", "--config", str(cfg_path),
-                   "--preset", "paper-like", "--out", str(tmp_path / "o")])
+                   "--out", str(tmp_path / "o")])
     assert rc == 2
     lines = (tmp_path / "o" / "report.csv").read_text().splitlines()
     assert len(lines) == 4

@@ -171,6 +171,9 @@ def test_backward_rejects_mismatched_intermediates():
     _, inter = wh_forward(model, x)
     with pytest.raises(ValueError):
         wh_backward(model, inter[:-2], x)
+    inter[1] = inter[1][:-1]
+    with pytest.raises(ValueError, match="intermediates do not match"):
+        wh_backward(model, inter, x)
 
 
 def test_adjoint_consistency():

@@ -1,10 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from whdpd.dsp import SampledSignal
 from whdpd.model import (FirBlock, PolyNlBlock, WhModel, complexity,
-                         fir_apply, load_model, model_from_dict,
-                         model_to_dict, nl_apply, save_model, wh_forward)
+                         fir_apply, model_from_dict, model_to_dict, nl_apply,
+                         wh_forward)
 
 
 def naive_fir_same(x, h):
@@ -102,6 +104,17 @@ def test_poly_rejects_low_orders():
         PolyNlBlock({1: 0.5})
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: PolyNlBlock({3: np.nan}), "coefficients must be finite"),
+    (lambda: WhModel([]), "at least one block"),
+    (lambda: model_from_dict({"layers": [{"kind": "iir"}]}),
+     "unknown block kind 'iir'"),
+], ids=["nan-coefficient", "no-blocks", "unknown-kind"])
+def test_model_rejects_bad_blocks(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 # --- forward pass ---------------------------------------------------------
 
 def test_identity_cascade():
@@ -184,13 +197,11 @@ def test_complexity_additive_over_blocks():
 
 # --- serialization --------------------------------------------------------
 
-def test_model_json_roundtrip(tmp_path):
+def test_model_json_roundtrip():
     rng = np.random.default_rng(9)
     model = WhModel([FirBlock(rng.normal(size=5)), PolyNlBlock({3: -0.07}),
                      FirBlock(rng.normal(size=3))])
-    path = tmp_path / "model.json"
-    save_model(model, path)
-    back = load_model(path)
+    back = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
     for b1, b2 in zip(model.layers, back.layers):
         if isinstance(b1, FirBlock):
             assert np.array_equal(b1.taps, b2.taps)

@@ -10,8 +10,8 @@ import whdpd
 from whdpd.dsp import SampledSignal, snr_db
 from whdpd.model import FirBlock, PolyNlBlock, WhModel, wh_forward
 from whdpd.txsim import (MzmSpec, SaturationSpec, TxChannel, channel_from_dict,
-                         channel_to_dict, load_channel, paper_like_preset,
-                         quantize, saturate, save_channel, simulate_tx)
+                         channel_to_dict, paper_like_preset, quantize,
+                         saturate, simulate_tx)
 
 
 def sig(samples, sps=2.0):
@@ -160,23 +160,12 @@ def test_dac_bits_validation():
         TxChannel(dac_bits=17)
 
 
+def test_mzm_spec_validation():
+    with pytest.raises(ValueError, match="v_pi must be > 0"):
+        MzmSpec(v_pi=0)
+
+
 # --- serialization --------------------------------------------------------
-
-def test_channel_json_roundtrip(tmp_path):
-    ch = paper_like_preset(seed=5)
-    path = tmp_path / "channel.json"
-    save_channel(ch, path)
-    back = load_channel(path)
-    assert back.dac_bits == ch.dac_bits
-    assert np.allclose(back.pre_fir.taps, ch.pre_fir.taps)
-    assert np.allclose(back.post_fir.taps, ch.post_fir.taps)
-    assert back.saturation == ch.saturation
-    assert back.noise_snr_db == ch.noise_snr_db
-    assert back.seed == ch.seed
-    x = sig(np.random.default_rng(6).normal(size=256) * 0.4)
-    assert np.array_equal(simulate_tx(ch, x).samples,
-                          simulate_tx(back, x).samples)
-
 
 def test_channel_dict_has_version():
     doc = channel_to_dict(paper_like_preset())
