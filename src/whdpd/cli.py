@@ -95,7 +95,7 @@ def cmd_train(args):
 
 def cmd_sweep(args):
     cfg, _ = _config(args)
-    report, _ = run_experiment(cfg, out_dir=args.out)
+    report = run_experiment(cfg, out_dir=args.out)
     for row in report.rows:
         print(f"v_in={row['v_in']:<6} mode={row['mode']:<8} "
               f"snr={row['snr_db']:.2f} dB out_rms={row['out_rms']:.4f} "

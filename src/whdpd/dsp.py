@@ -97,8 +97,6 @@ def qam_modulate(bits, spec):
     bps = spec.bits_per_symbol
     if bits.size % bps != 0:
         raise ValueError(f"bit count {bits.size} not divisible by {bps}")
-    if bits.size == 0:
-        return np.empty(0, dtype=np.complex128)
     b = bps // 2
     words = bits.reshape(-1, bps)
     weights = 1 << np.arange(b - 1, -1, -1)
@@ -205,17 +203,20 @@ def snr_db(reference, demodulated):
 
     Accepts real rails, complex sequences or SampledSignals. The optimal
     gain removes any residual scale (and sign) before the ratio; the return
-    value is capped at SNR_CEILING_DB when the error power underflows.
+    value is capped at SNR_CEILING_DB when the error power underflows. An
+    all-zero reference or demodulated signal raises ValueError.
     """
     r = _as_array(reference)
     d = _as_array(demodulated)
     if r.shape != d.shape:
         raise ValueError("reference and demodulated lengths differ")
-    g = inner(d, r) / inner(d, d)
-    if not np.iscomplexobj(r) and not np.iscomplexobj(d):
-        g = g.real
-    err = r - g * d
     p_sig = np.mean(np.abs(r) ** 2)
+    dd = inner(d, d)
+    if p_sig == 0 or dd == 0:
+        raise ValueError("SNR against an all-zero reference or demodulated "
+                         "signal is undefined")
+    g = inner(d, r) / dd
+    err = r - g * d
     p_err = np.mean(np.abs(err) ** 2)
     if p_err <= p_sig * 10.0 ** (-SNR_CEILING_DB / 10.0):
         return SNR_CEILING_DB

@@ -16,6 +16,7 @@ per symbol.
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -52,11 +53,15 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("k1", "k2"):
-            if getattr(self, name) < 1:
+            k = getattr(self, name)
+            if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
+            if k < 1:
                 raise ValueError(f"{name} must be >= 1")
         amps = tuple(self.amplitudes)
-        if any(a <= 0 for a in amps):
-            raise ValueError("amplitudes must all be > 0")
+        # written so that NaN fails it
+        if not all(0 < a < math.inf for a in amps):
+            raise ValueError("amplitudes must all be finite and > 0")
         if any(b <= a for a, b in zip(amps, amps[1:])):
             raise ValueError("amplitude grid must be strictly increasing")
         self.amplitudes = amps
@@ -76,14 +81,6 @@ class SweepReport:
             w.writerow(CSV_COLUMNS)
             for row in self.rows:
                 w.writerow([_fmt(row.get(c, "")) for c in CSV_COLUMNS])
-
-    def select(self, mode=None, v_in=None):
-        out = self.rows
-        if mode is not None:
-            out = [r for r in out if r["mode"] == mode]
-        if v_in is not None:
-            out = [r for r in out if math.isclose(r["v_in"], v_in)]
-        return out
 
 
 def _fmt(v):
@@ -184,11 +181,11 @@ def _row(v_in, mode, metrics=None, artifact=None, error=None):
 
 
 def run_experiment(cfg, out_dir=None):
-    """Full sweep over amplitudes x modes; optionally persists the CSV
-    report, trained artifacts and training logs under out_dir."""
+    """Full sweep over amplitudes x modes, returned as a SweepReport;
+    optionally persists the CSV report, trained artifacts and training logs
+    under out_dir."""
     bench = Workbench(cfg)
     rows = []
-    artifacts = {}
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
@@ -200,15 +197,13 @@ def run_experiment(cfg, out_dir=None):
                 rows.append(_row(v, mode, error=exc))
                 continue
             rows.append(row)
-            if artifact is not None:
-                artifacts[(v, mode)] = artifact
-                if out is not None:
-                    stem = out / f"artifact_{mode}_v{_fmt(float(v))}"
-                    save_artifact(artifact, f"{stem}.json", f"{stem}_log.csv")
+            if artifact is not None and out is not None:
+                stem = out / f"artifact_{mode}_v{_fmt(float(v))}"
+                save_artifact(artifact, f"{stem}.json", f"{stem}_log.csv")
     report = SweepReport(rows)
     if out is not None:
         report.to_csv(out / "report.csv")
-    return report, artifacts
+    return report
 
 
 def save_artifact(artifact, path, log_path):

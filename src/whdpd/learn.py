@@ -8,6 +8,7 @@ length-independent. The training objective is therefore
 0.5*||y - ref||^2 / N.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -182,6 +183,9 @@ class FitConfig:
     tol: float = 1e-9    # relative loss change over TOL_WINDOW iterations
 
     def __post_init__(self):
+        if (isinstance(self.iterations, bool)
+                or not isinstance(self.iterations, numbers.Integral)):
+            raise ValueError("iterations must be an integer")
         if self.iterations < 1:
             raise ValueError("iteration budget must be >= 1")
         # written so that NaN fails each check; a zero rate holds its
@@ -193,32 +197,24 @@ class FitConfig:
             raise ValueError("tol must be finite and > 0")
 
 
-@dataclass
 class AdamState:
-    """Adam moments over the packed coefficient vector.
+    """Adam moments over the packed coefficient vector of one model.
 
     Taps and nonlinear coefficients get separate learning rates because
     their magnitudes differ by orders of magnitude in practice; a zero
-    lr_nl holds the nonlinearity fixed. for_model records, once, the
-    model's coefficient layout and each coordinate's learning rate (rate).
+    lr_nl holds the nonlinearity fixed. The model's coefficient layout and
+    each coordinate's learning rate (rate) are recorded once, here.
     """
 
-    t: int = 0
-    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    layout: list = field(default=None, init=False, repr=False)
-    rate: np.ndarray = field(default=None, init=False, repr=False)
-
-    @classmethod
-    def for_model(cls, model, lr_taps=FitConfig.lr_taps,
-                  lr_nl=FitConfig.lr_nl):
-        state = cls()
-        layout = state.layout = _layout(_entries(model))
-        state.rate = np.repeat([lr_taps if isinstance(e, range) else lr_nl
-                                for e in layout], [len(e) for e in layout])
-        state.m = np.zeros(state.rate.size)
-        state.v = np.zeros(state.rate.size)
-        return state
+    def __init__(self, model, lr_taps=FitConfig.lr_taps,
+                 lr_nl=FitConfig.lr_nl):
+        self.layout = _layout(_entries(model))
+        self.rate = np.repeat([lr_taps if isinstance(e, range) else lr_nl
+                               for e in self.layout],
+                              [len(e) for e in self.layout])
+        self.t = 0
+        self.m = np.zeros(self.rate.size)
+        self.v = np.zeros(self.rate.size)
 
 
 def adam_step(state, model, grads):
@@ -286,7 +282,7 @@ def fit_postestimator(received, reference, init, cfg):
     seen (so the final loss never exceeds the initial one).
     """
     model = init.copy()
-    state = AdamState.for_model(model, lr_taps=cfg.lr_taps, lr_nl=cfg.lr_nl)
+    state = AdamState(model, lr_taps=cfg.lr_taps, lr_nl=cfg.lr_nl)
     n = received.samples.size
     history = []
     best_loss, best_theta, best_inter = np.inf, None, None

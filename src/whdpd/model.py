@@ -188,10 +188,9 @@ def model_from_dict(doc):
     layers = []
     for entry in doc["layers"]:
         if entry["kind"] == "fir":
-            layers.append(FirBlock(np.asarray(entry["taps"])))
+            layers.append(FirBlock(entry["taps"]))
         elif entry["kind"] == "poly":
-            layers.append(PolyNlBlock({int(m): float(a)
-                                       for m, a in entry["coeffs"].items()}))
+            layers.append(PolyNlBlock(entry["coeffs"]))
         else:
             raise ValueError(f"unknown block kind {entry['kind']!r}")
     return WhModel(layers)

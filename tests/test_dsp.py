@@ -13,6 +13,16 @@ def test_sampled_signal_rejects_empty_and_bad_rate():
         SampledSignal(np.array([1.0]), samples_per_symbol=0)
 
 
+def test_sampled_signal_and_shape_pulse_take_lists():
+    s = SampledSignal([1, 2])
+    assert s.samples.dtype == np.float64 and s.samples.tolist() == [1.0, 2.0]
+    spec = RrcSpec(0.2, 8, 2)
+    from_list = shape_pulse([1 + 1j, -1 - 1j], spec)
+    from_array = shape_pulse(np.array([1 + 1j, -1 - 1j]), spec)
+    for a, b in zip(from_list, from_array):
+        assert np.array_equal(a.samples, b.samples)
+
+
 # --- QAM ------------------------------------------------------------------
 
 def test_qpsk_gray_corner():
@@ -255,8 +265,19 @@ def test_rms_normalize_rejects_zero():
      "received shorter than reference"),
     (lambda: rms_normalize(SampledSignal(np.ones(4)), 0.0),
      "target_rms must be > 0"),
+    (lambda: qam_modulate([0, 1, 1], ConstellationSpec(16)),
+     "bit count 3 not divisible by 4"),
+    (lambda: shape_pulse([], RrcSpec(0.2, 8, 2)),
+     "symbols must be non-empty"),
+    (lambda: snr_db(np.ones(4), np.ones(5)),
+     "reference and demodulated lengths differ"),
+    (lambda: snr_db(np.zeros(4), np.ones(4)),
+     "all-zero reference or demodulated signal"),
+    (lambda: snr_db(np.ones(4), np.zeros(4)),
+     "all-zero reference or demodulated signal"),
 ], ids=["qam-order", "rrc-odd-span", "rrc-sps", "short-capture",
-        "rms-target"])
+        "rms-target", "qam-ragged-bits", "shape-no-symbols",
+        "snr-length", "snr-zero-reference", "snr-zero-demodulated"])
 def test_dsp_rejects_bad_arguments(call, message):
     with pytest.raises(ValueError, match=message):
         call()

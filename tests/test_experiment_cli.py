@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import whdpd
+from whdpd import experiment
 from whdpd.cli import ConfigError, build_config, main, make_parser
 from whdpd.dsp import SampledSignal
 from whdpd.experiment import (ExperimentConfig, Workbench,
@@ -44,7 +46,7 @@ def test_config_rejects_bad_grid():
 
 def test_identity_channel_hits_snr_ceiling():
     cfg = tiny_cfg(channel=identity_channel())
-    report, _ = run_experiment(cfg)
+    report = run_experiment(cfg)
     assert len(report.rows) == 3
     for row in report.rows:
         assert row["snr_db"] == 100.0
@@ -52,7 +54,7 @@ def test_identity_channel_hits_snr_ceiling():
 
 def test_single_amplitude_gives_three_rows():
     cfg = tiny_cfg(channel=identity_channel())
-    report, _ = run_experiment(cfg)
+    report = run_experiment(cfg)
     assert [r["mode"] for r in report.rows] == ["no-dpd", "linear", "wh"]
 
 
@@ -66,14 +68,14 @@ def test_reports_are_bitwise_reproducible(tmp_path):
 
 def test_output_rms_monotone_in_drive_without_dpd():
     cfg = tiny_cfg(amplitudes=(0.3, 0.6, 1.0, 1.5), modes=("no-dpd",))
-    report, _ = run_experiment(cfg)
+    report = run_experiment(cfg)
     rms = [r["out_rms"] for r in report.rows]
     assert all(b >= a for a, b in zip(rms, rms[1:]))
 
 
 def test_report_complexity_matches_formula():
     cfg = tiny_cfg()
-    report, artifacts = run_experiment(cfg)
+    report = run_experiment(cfg)
     for row in report.rows:
         if row["mode"] in ("linear", "wh"):
             # two K-tap FIRs plus the cubic term
@@ -83,7 +85,7 @@ def test_report_complexity_matches_formula():
 
 def test_report_csv_format(tmp_path):
     cfg = tiny_cfg(channel=identity_channel())
-    report, _ = run_experiment(cfg, out_dir=tmp_path)
+    report = run_experiment(cfg, out_dir=tmp_path)
     text = (tmp_path / "report.csv").read_text().splitlines()
     assert text[0].startswith("schema_version,v_in,mode,")
     assert len(text) == 4
@@ -104,7 +106,7 @@ def test_error_rows_are_flushed():
     # divergence: absurd learning rate overflows the cubic term
     cfg = tiny_cfg(fit=FitConfig(iterations=30, lr_taps=1e120))
     with np.errstate(over="ignore", invalid="ignore"):
-        report, _ = run_experiment(cfg)
+        report = run_experiment(cfg)
     modes = [r["mode"] for r in report.rows]
     assert "no-dpd" in modes
     assert any(m.startswith("linear!error") or m.startswith("wh!error")
@@ -114,7 +116,7 @@ def test_error_rows_are_flushed():
 def test_error_column_holds_the_message(tmp_path):
     cfg = tiny_cfg(fit=FitConfig(iterations=30, lr_taps=1e120))
     with np.errstate(over="ignore", invalid="ignore"):
-        report, _ = run_experiment(cfg, out_dir=tmp_path)
+        report = run_experiment(cfg, out_dir=tmp_path)
     failed = [r for r in report.rows if "!error:" in r["mode"]]
     assert failed
     for row in failed:
@@ -122,11 +124,16 @@ def test_error_column_holds_the_message(tmp_path):
         assert re.fullmatch(r"training diverged at iteration \d+",
                             row["error"])
     with open(tmp_path / "report.csv", newline="") as f:
-        lines = list(csv.reader(f))
-    assert lines[0][-1] == "error"
-    by_mode = {line[2]: line[-1] for line in lines[1:]}
-    assert by_mode["no-dpd"] == ""
-    assert all(by_mode[r["mode"]] == r["error"] for r in failed)
+        header, *lines = list(csv.reader(f))
+    assert header[-1] == "error"
+    by_mode = {line[2]: dict(zip(header, line)) for line in lines}
+    assert by_mode["no-dpd"]["error"] == ""
+    for row in failed:
+        cells = by_mode[row["mode"]]
+        assert cells["error"] == row["error"]
+        # a failed point's measurements are empty cells, not "nan"
+        assert [cells[c] for c in ("out_rms", "snr_db", "papr_db",
+                                   "final_loss")] == [""] * 4
 
 
 @pytest.mark.parametrize("drive", [0.0, -0.5])
@@ -134,6 +141,15 @@ def test_evaluate_rejects_non_positive_drive(drive):
     bench = Workbench(tiny_cfg())
     with pytest.raises(ValueError, match="drive amplitude must be > 0"):
         bench.evaluate(None, drive)
+
+
+def test_evaluate_drives_the_rails_with_different_noise_seeds(monkeypatch):
+    seeds = []
+    real = experiment.simulate_tx
+    monkeypatch.setattr(experiment, "simulate_tx",
+                        lambda ch, x: seeds.append(ch.seed) or real(ch, x))
+    Workbench(tiny_cfg()).evaluate(None, 0.5)
+    assert len(seeds) == 2 and seeds[0] != seeds[1]
 
 
 def test_scale_to_peak_rejects_all_zero_signal():
@@ -147,8 +163,8 @@ def test_fixed_sweep_consistent_with_training_run():
     cfg = tiny_cfg(amplitudes=(0.5,))
     bench = Workbench(cfg)
     artifact = bench.train(0.5)
-    report, _ = run_experiment(cfg)
-    wh_row = report.select(mode="wh")[0]
+    report = run_experiment(cfg)
+    wh_row = [r for r in report.rows if r["mode"] == "wh"][0]
     fixed = sweep_amplitude_with_fixed_dpd(cfg, artifact)
     assert fixed.rows[0]["snr_db"] == pytest.approx(wh_row["snr_db"],
                                                     abs=1e-9)
@@ -291,7 +307,7 @@ def test_cli_names_the_file_it_cannot_read(tmp_path, capsys, command, doc,
     assert str(path) in err and key in err
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["sweep", "--config", str(bad),
@@ -305,13 +321,17 @@ def test_cli_exit_codes(tmp_path):
     cfg_path = write_config(tmp_path / "div.json", train_amplitude=0.5,
                             fit={"iterations": 30, "lr_taps": 1e120})
     with np.errstate(over="ignore", invalid="ignore"):
+        capsys.readouterr()
         rc = main(["train", "--config", str(cfg_path),
                    "--out", str(tmp_path / "o")])
     assert rc == 2
+    assert re.fullmatch(r"error: training diverged at iteration \d+\n",
+                        capsys.readouterr().err)
 
     assert main(["simulate", "--preset", "paper-like",
                  "--input", str(tmp_path / "missing.csv"),
                  "--output", str(tmp_path / "o.csv")]) == 3
+    assert capsys.readouterr().err.startswith("i/o error: ")
 
 
 @pytest.mark.parametrize("argv", [
@@ -369,13 +389,29 @@ def test_build_config_rejects_unknown_or_repeated_keys(doc):
     ({"fit": {"iterations": 0}}, "iteration budget must be >= 1"),
     ({"model": {"k1": 0}}, "k1 must be >= 1"),
     ({"model": {"k2": -3}}, "k2 must be >= 1"),
+    ({"fit": {"iterations": 2.5}}, "iterations must be an integer"),
+    ({"fit": {"iterations": True}}, "iterations must be an integer"),
+    ({"fit": {"iterations": float("inf")}}, "iterations must be an integer"),
+    ({"model": {"k1": 2.5}}, "k1 must be an integer"),
+    ({"model": {"k2": True}}, "k2 must be an integer"),
+    ({"sweep": {"amplitudes": [float("nan")]}},
+     "amplitudes must all be finite and > 0"),
+    ({"sweep": {"amplitudes": [0.5, float("inf")]}},
+     "amplitudes must all be finite and > 0"),
     ({"channel": "lab"}, "unknown channel preset 'lab'"),
 ], ids=["lr_nl-negative", "lr_taps-nan", "lr_taps-inf", "tol-zero",
         "tol-nan", "iterations-zero", "k1-zero", "k2-negative",
-        "unknown-preset"])
+        "iterations-float", "iterations-bool", "iterations-inf", "k1-float",
+        "k2-bool", "amplitude-nan", "amplitude-inf", "unknown-preset"])
 def test_build_config_rejects_bad_values(doc, message):
     with pytest.raises(ValueError, match=message):
         build_config(doc)
+
+
+def test_config_counts_accept_numpy_integers():
+    cfg = ExperimentConfig(k1=np.int64(5),
+                           fit=FitConfig(iterations=np.int32(3)))
+    assert (cfg.k1, cfg.fit.iterations) == (5, 3)
 
 
 @pytest.mark.parametrize("command, over, message", [
@@ -383,7 +419,10 @@ def test_build_config_rejects_bad_values(doc, message):
     ("sweep", {"model": {"k1": 0}}, "k1 must be >= 1"),
     ("train", {"fit": {"lr_nl": -1.0}}, "lr_nl must be finite"),
     ("train", {"fit": {"lr_taps": float("nan")}}, "lr_taps must be finite"),
-], ids=["train-k1", "sweep-k1", "train-lr_nl", "train-lr_taps-nan"])
+    ("sweep", {"sweep": {"amplitudes": [float("nan")]}},
+     "amplitudes must all be finite"),
+], ids=["train-k1", "sweep-k1", "train-lr_nl", "train-lr_taps-nan",
+        "sweep-amplitude-nan"])
 def test_cli_rejects_bad_config_value(tmp_path, capsys, command, over,
                                       message):
     cfg_path = write_config(tmp_path / "cfg.json", **over)
@@ -417,6 +456,13 @@ def test_readme_examples_parse():
     parser = make_parser()
     for line in lines:
         parser.parse_args(shlex.split(line)[1:])
+
+
+def test_version_is_the_project_version():
+    pyproject = (Path(__file__).resolve().parents[1]
+                 / "pyproject.toml").read_text()
+    version = re.search(r'^version = "(.*)"$', pyproject, re.M).group(1)
+    assert whdpd.__version__ == version
 
 
 def test_build_config_rejects_unknown_top_level_key():
@@ -464,13 +510,15 @@ def test_cli_train_rejects_non_positive_drive(tmp_path, capsys, drive):
         capsys.readouterr().err
 
 
-def test_cli_sweep_exits_2_on_divergence_and_keeps_report(tmp_path):
+def test_cli_sweep_exits_2_on_divergence_and_keeps_report(tmp_path, capsys):
     cfg_path = write_config(tmp_path / "div.json",
                             fit={"iterations": 30, "lr_taps": 1e120})
     with np.errstate(over="ignore", invalid="ignore"):
         rc = main(["sweep", "--config", str(cfg_path),
                    "--out", str(tmp_path / "o")])
     assert rc == 2
+    assert capsys.readouterr().err == ("error: training diverged at 2 sweep "
+                                       "point(s)\n")
     lines = (tmp_path / "o" / "report.csv").read_text().splitlines()
     assert len(lines) == 4
     assert any("!error:TrainingDivergedError" in line for line in lines)

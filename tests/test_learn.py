@@ -268,7 +268,7 @@ def test_backward_skips_input_gradient_of_first_block(monkeypatch):
 
 def test_adam_zero_gradient_keeps_model():
     model = WhModel.lnl(5, 5, a=0.2)
-    state = AdamState.for_model(model)
+    state = AdamState(model)
     _, inter = wh_forward(model, sig(np.ones(16)))
     out = sig(inter[-1])
     grads = wh_backward(model, inter, out)  # zero residual
@@ -283,7 +283,7 @@ def test_adam_zero_gradient_keeps_model():
 
 def test_adam_first_step_magnitude():
     model = WhModel([FirBlock([0.0])])
-    state = AdamState.for_model(model, lr_taps=0.01)
+    state = AdamState(model, lr_taps=0.01)
     from whdpd.learn import WhGradients
     grads = WhGradients([np.array([0.37])])
     adam_step(state, model, grads)
@@ -293,7 +293,7 @@ def test_adam_first_step_magnitude():
 def test_adam_converges_on_quadratic():
     # E = 0.5*(h-3)^2 realized as a 1-tap FIR fit with x=[1], ref=[3]
     model = WhModel([FirBlock([0.0])])
-    state = AdamState.for_model(model, lr_taps=0.1)
+    state = AdamState(model, lr_taps=0.1)
     x, ref = sig([1.0]), sig([3.0])
     # independent reference Adam recurrence on the same problem
     theta, m, v, t = 0.0, 0.0, 0.0, 0
@@ -313,14 +313,14 @@ def test_adam_converges_on_quadratic():
 def test_adam_rejects_shape_mismatch():
     from whdpd.learn import WhGradients
     model = WhModel([FirBlock([0.0, 0.0])])
-    state = AdamState.for_model(model)
+    state = AdamState(model)
     with pytest.raises(ValueError):
         adam_step(state, model, WhGradients([np.array([1.0])]))
 
 
 def test_adam_rejects_gradient_for_other_orders():
     model = WhModel.lnl(3, 3, a=0.1)
-    state = AdamState.for_model(model)
+    state = AdamState(model)
     grads = WhGradients([np.ones(3), {2: 1.0}, np.ones(3)])
     with pytest.raises(ValueError):
         adam_step(state, model, grads)
@@ -329,7 +329,7 @@ def test_adam_rejects_gradient_for_other_orders():
 def test_adam_rejects_state_and_gradient_for_other_block_sizes():
     # lnl(3, 3) and lnl(2, 4) both hold 7 coefficients
     other = WhModel.lnl(3, 3, a=0.1)
-    state = AdamState.for_model(other)
+    state = AdamState(other)
     grads = WhGradients([np.ones(3), {3: 1.0}, np.ones(3)])
     model = WhModel.lnl(2, 4, a=0.1)
     with pytest.raises(ValueError):
@@ -364,7 +364,7 @@ def test_adam_step_matches_per_coefficient_recurrence():
     grads = WhGradients([np.array([0.3, -1.2, 0.05]), {3: -0.7, 2: 2.5},
                          np.array([-0.4, 0.8])])
     lr_taps, lr_nl = 0.01, 0.002
-    state = AdamState.for_model(model, lr_taps=lr_taps, lr_nl=lr_nl)
+    state = AdamState(model, lr_taps=lr_taps, lr_nl=lr_nl)
     adam_step(state, model, grads)
     # first step from zero moments, one coefficient at a time
     pairs = ([(before.layers[0].taps[k], grads.per_layer[0][k], lr_taps,
@@ -385,7 +385,7 @@ def test_adam_step_frozen_nonlinearity_is_bitwise_unchanged():
     coeffs = dict(model.layers[1].coeffs)
     taps = model.layers[0].taps.copy()
     grads = WhGradients([np.ones(3), {3: -0.7, 2: 2.5}, np.ones(2)])
-    state = AdamState.for_model(model, lr_nl=0.0)
+    state = AdamState(model, lr_nl=0.0)
     for _ in range(3):
         adam_step(state, model, grads)
     assert model.layers[1].coeffs == coeffs
@@ -395,7 +395,7 @@ def test_adam_step_frozen_nonlinearity_is_bitwise_unchanged():
 def test_monotone_descent_smoke():
     rng = np.random.default_rng(6)
     model = random_model(rng)
-    state = AdamState.for_model(model, lr_taps=1e-4, lr_nl=1e-4)
+    state = AdamState(model, lr_taps=1e-4, lr_nl=1e-4)
     x = sig(rng.normal(size=64))
     ref = sig(rng.normal(size=64))
     out, inter = wh_forward(model, x)
@@ -471,6 +471,24 @@ def test_fit_runs_forward_once_per_iteration(monkeypatch, tol):
     out, inter = real(art.model, received)
     assert art.final_loss == loss(out, ref) / ref.samples.size
     assert art.nl_input_amplitudes == {1: float(np.max(np.abs(inter[1])))}
+
+
+def test_fit_stops_at_the_first_step_below_tol():
+    # the step at which the relative loss change over TOL_WINDOW steps
+    # first falls below tol, read from a fit that runs its whole budget
+    rng = np.random.default_rng(12)
+    ref = sig(rng.normal(size=256) * 0.4, 2)
+    received, _ = wh_forward(WhModel.lnl(5, 5, a=0.1), ref)
+    full = fit_postestimator(received, ref, WhModel.lnl(5, 5),
+                             FitConfig(iterations=60, tol=1e-300))
+    losses = [j for _, j, _ in full.history]
+    stop = next(it for it in range(learn.TOL_WINDOW, 60)
+                if abs(losses[it] - losses[it - learn.TOL_WINDOW])
+                < 1e-2 * losses[it - learn.TOL_WINDOW])
+    art = fit_postestimator(received, ref, WhModel.lnl(5, 5),
+                            FitConfig(iterations=60, tol=1e-2))
+    assert art.iterations == stop + 1 < 60
+    assert art.history == full.history[:stop + 1]
 
 
 def test_fit_copies_the_model_a_bounded_number_of_times(monkeypatch):
@@ -677,10 +695,10 @@ def test_apply_dpd_half_amplitude_equals_rescaled_coefficient():
 
 def test_apply_dpd_rejects_bad_inputs():
     art = _trained_artifact(a=0.1, amp=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no positive stored amplitude"):
         apply_dpd(art, sig(np.ones(8)))
     art2 = _trained_artifact(a=0.1, amp=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="all-zero signal"):
         apply_dpd(art2, sig(np.zeros(8)))
 
 

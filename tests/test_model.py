@@ -150,6 +150,18 @@ def test_forward_matches_straight_line_reimplementation():
     assert np.max(np.abs(out.samples - y)) < 1e-12
 
 
+def test_empty_polynomial_block_is_identity():
+    x = sig(np.random.default_rng(10).normal(size=32))
+    out, _ = wh_forward(WhModel([FirBlock.identity(3), PolyNlBlock({})]), x)
+    assert np.array_equal(out.samples, x.samples)
+
+
+def test_forward_rejects_unknown_block_type():
+    model = WhModel([FirBlock.identity(3), "cubic"])
+    with pytest.raises(TypeError, match="unknown block type str"):
+        wh_forward(model, sig(np.ones(4)))
+
+
 def test_copy_is_independent_of_original():
     model = WhModel([FirBlock([0.1, 1.0, -0.2]),
                      PolyNlBlock({3: 0.05, 2: -0.02}), FirBlock([0.3])])
