@@ -6,6 +6,8 @@ Exit codes: 0 success, 1 config or usage error, 2 divergence, 3 I/O error.
 
 import argparse
 import json
+import math
+import numbers
 import sys
 from pathlib import Path
 
@@ -51,11 +53,18 @@ def build_config(doc, seed=None):
     override. Section keys are ExperimentConfig (signal, model, sweep) and
     FitConfig (fit) field names; an unknown or repeated key raises. The
     channel key is a preset name (default "paper-like") or a channel
-    object."""
+    object; train_amplitude, if given, must be a finite number > 0."""
     unknown = sorted(set(doc) - CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config key(s) {unknown}; "
                           f"allowed: {sorted(CONFIG_KEYS)}")
+    drive = doc.get("train_amplitude")
+    # written so that NaN fails it
+    if "train_amplitude" in doc and (
+            isinstance(drive, bool) or not isinstance(drive, numbers.Real)
+            or not 0 < drive < math.inf):
+        raise ConfigError("drive amplitude must be > 0 and finite: "
+                          f"train_amplitude is {drive!r}")
     fit = doc.get("fit", {})
     if "freeze_nonlinear" in fit:
         raise ConfigError("fit.freeze_nonlinear is set per run: use the "

@@ -52,11 +52,13 @@ class ExperimentConfig:
     modes: tuple = MODES
 
     def __post_init__(self):
-        for name in ("k1", "k2"):
+        for name in ("order", "n_symbols", "samples_per_symbol",
+                     "span_symbols", "seed", "k1", "k2"):
             k = getattr(self, name)
             if isinstance(k, bool) or not isinstance(k, numbers.Integral):
                 raise ValueError(f"{name} must be an integer")
-            if k < 1:
+        for name in ("k1", "k2"):
+            if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         amps = tuple(self.amplitudes)
         # written so that NaN fails it
@@ -92,8 +94,10 @@ def _fmt(v):
 
 
 def scale_to_peak(samples, peak):
-    if not peak > 0:
-        raise ValueError(f"drive amplitude must be > 0, got {peak!r}")
+    # written so that NaN fails it
+    if not 0 < peak < math.inf:
+        raise ValueError(f"drive amplitude must be > 0 and finite, got "
+                         f"{peak!r}")
     m = float(np.max(np.abs(samples)))
     if m == 0:
         raise ValueError("cannot scale an all-zero signal")

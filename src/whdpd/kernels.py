@@ -18,6 +18,16 @@ rows of the input by the rows of the output gradient and sums the K
 diagonals of the small product. With K in the hundreds, the last bits of a
 GEMM result depend on how many threads BLAS splits it over.
 
+Frames: a signal's rows are views of a Frame, a zero-filled buffer with the
+samples at a fixed place, so for any centre offset the rows are cut
+without a copy. A kernel given a plain array frames it on entry, in one
+buffer just large enough for the call. A fit builds one frame per FIR
+block's input and one per its output gradient, once (model.Plan): the
+capture is framed once, each block writes its output (or gradient) into
+the next frame, and a frame keeps its cut rows and the buffer of its band
+matrix from step to step. The GEMM products themselves are new arrays on
+every call.
+
 Threads: OpenBLAS splits a dot product longer than 10 000 samples, or a
 GEMM above 2^18 multiply-adds, over its threads, and its idle threads spin
 between calls. A fit step at the paper point makes dozens of products of
@@ -61,33 +71,84 @@ def _recycle_freed_arrays():
 _recycle_freed_arrays()
 
 
-def _rows(x, k, c):
-    """x zero-padded by K-1-c samples in front and cut into rows of
-    b = max(K-1, 16) samples: b, the rows that cover x, and the K-1 samples
-    after each row, as views of one array that BLAS takes without a copy."""
-    n = len(x)
-    b = max(k - 1, 16)
-    nb = -(-n // b)
-    xp = np.zeros((nb + 1) * b)
-    xp[k - 1 - c:k - 1 - c + n] = x
-    return b, xp.reshape(nb + 1, b)[:-1], xp[b:].reshape(nb, b)[:, :k - 1]
+class Frame:
+    """N samples inside a zero-filled buffer, laid out for K-tap filters.
+
+    The buffer is cut into rows of b = max(K-1, 16) samples. For a centre
+    offset c the kernels read the samples with K-1-c zeros in front, row by
+    row, each row with the K-1 samples after it, as views of the buffer
+    (rows). A frame made with lead=None has K-1 zeros in front, so it serves
+    every c in [0, K-1]; a one-off frame (lead = K-1-c) serves one c. Only
+    samples is ever written, so the margins stay zero. The frame keeps the
+    rows it has cut, and the band matrix of the last filter applied to it
+    (band).
+    """
+
+    def __init__(self, n, k, lead=None):
+        self.k, self.b = k, max(k - 1, 16)
+        self.nb = -(-n // self.b)
+        self.lead = k - 1 if lead is None else lead
+        self.buf = np.zeros(self.lead + (self.nb + 1) * self.b)
+        self.samples = self.buf[self.lead:self.lead + n]
+        self._cuts = {}
+        self._hp = None
+
+    def __len__(self):
+        return len(self.samples)
+
+    def hold(self, y):
+        """This frame, with y copied into its samples unless y is them."""
+        if y is not self.samples:
+            self.samples[:] = y
+        return self
+
+    def rows(self, c):
+        """The rows of the samples with K-1-c zeros in front, and the K-1
+        samples after each row, as views of the buffer that BLAS takes
+        without a copy."""
+        cut = self._cuts.get(c)
+        if cut is None:
+            b, nb = self.b, self.nb
+            start = self.lead - (self.k - 1 - c)
+            seg = self.buf[start:start + (nb + 1) * b]
+            cut = self._cuts[c] = (seg.reshape(nb + 1, b)[:-1],
+                                   seg[b:].reshape(nb, b)[:, :self.k - 1])
+        return cut
+
+    def band(self, h):
+        """t[j, i] = h[K-1-(j-i)] on the band 0 <= j-i <= K-1, zero
+        elsewhere: a (b+K-1) x b strided view of the padded reversed taps,
+        whose buffer the frame keeps and refills."""
+        b, k = self.b, self.k
+        if self._hp is None:
+            self._hp = np.zeros(2 * b + k - 2)
+            self._t = np.ndarray((b + k - 1, b), np.float64, self._hp,
+                                 self._hp.itemsize * (b - 1),
+                                 (self._hp.itemsize, -self._hp.itemsize))
+        self._hp[b - 1:b - 1 + k] = h[::-1]
+        return self._t
+
+
+def _frame(x, k, c):
+    """x as a frame for K taps: x itself if it is one, else a one-off frame
+    of the array, laid out for centre offset c."""
+    if isinstance(x, Frame):
+        if x.k != k:
+            raise ValueError(f"frame laid out for {x.k} taps, not {k}")
+        return x
+    return Frame(len(x), k, k - 1 - c).hold(x)
 
 
 def _fir(x, h, c):
     """y[n] = sum_k h[k] * x[n + c - k] for n in [0, N), x zero outside
     [0, N), for any N >= 1, K >= 1 and 0 <= c <= K-1."""
-    n, k = len(x), len(h)
-    b, rows, tails = _rows(x, k, c)
-    # t[j, i] = hp[j + b-1 - i] = h[K-1-(j-i)] on the band 0 <= j-i <= K-1,
-    # zero elsewhere: a strided view of the padded reversed taps
-    hp = np.zeros(2 * b + k - 2)
-    hp[b - 1:b - 1 + k] = h[::-1]
-    t = np.ndarray((b + k - 1, b), np.float64, hp, hp.itemsize * (b - 1),
-                   (hp.itemsize, -hp.itemsize))
+    f = _frame(x, len(h), c)
+    rows, tails = f.rows(c)
+    t = f.band(h)
     # row r of output: [row r, its tail] @ t, split at b
-    y = rows @ t[:b]
-    y += tails @ t[b:]
-    return y.ravel()[:n]
+    y = rows @ t[:f.b]
+    y += tails @ t[f.b:]
+    return y.ravel()[:len(f)]
 
 
 def fir_same(x, h):
@@ -104,12 +165,14 @@ def fir_grad_input(g, h):
 def fir_grad_taps(g, x, k):
     """Adjoint of fir_same w.r.t. the taps: gh[j] = sum_i g[i] x[i+c-j].
 
-    With g and the padded input cut into the same rows of b samples as in
-    _fir, a = sum_r g_r^T [x_r, first K-1 of x_(r+1)] is one (b, b+K-1)
+    With g and x cut into the same rows of b samples as in _fir,
+    a = sum_r g_r^T [x_r, first K-1 of x_(r+1)] is one (b, b+K-1)
     product, and gh[K-1-d] is the sum of its d-th upper diagonal.
     """
-    b, rows, tails = _rows(x, k, k // 2)
-    gt = _rows(g, k, k - 1)[1].T
+    fx = _frame(x, k, k // 2)
+    rows, tails = fx.rows(k // 2)
+    gt = _frame(g, k, k - 1).rows(k - 1)[0].T
+    b = fx.b
     a = np.empty((b, b + k - 1))
     np.matmul(gt, rows, out=a[:, :b])
     np.matmul(gt, tails, out=a[:, b:])
@@ -134,16 +197,19 @@ def powers(y, top):
     return p
 
 
-def poly_apply(y, orders, coeffs):
-    """x + sum_m a_m * y**m for the present (non-empty) orders."""
-    p = powers(y, max(orders))
-    out = y
-    for m, a in zip(orders, coeffs):
+def poly_apply(y, orders, coeffs, out=None):
+    """(y + sum_m a_m * y**m over the present orders, ascending and
+    non-empty, and the powers p = powers(y, max order) it was formed from);
+    the last sum is formed in out, if given."""
+    p = powers(y, orders[-1])
+    res = y
+    last = len(orders) - 1
+    for j, (m, a) in enumerate(zip(orders, coeffs)):
         # sums formed in place in the fresh term: one N-length array each
-        term = a * p[m - 1]
-        term += out
-        out = term
-    return out
+        term = np.multiply(a, p[m - 1], out=out if j == last else None)
+        term += res
+        res = term
+    return res, p
 
 
 def poly_slope(p, orders, coeffs):

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kernels
 from .dsp import _as_array, rms_normalize, synchronize
-from .model import (FirBlock, PolyNlBlock, WhModel, model_from_dict,
+from .model import (FirBlock, Plan, PolyNlBlock, WhModel, model_from_dict,
                     model_to_dict, run_cascade, wh_forward)
 
 # Adam's moment decay rates and denominator guard
@@ -99,24 +99,28 @@ def pack(model):
 def unpack(theta, model):
     """Write theta back into the model's blocks in place (the inverse of
     pack); returns the model."""
-    return _unpack(np.asarray(theta, dtype=np.float64), model,
-                   _layout(_entries(model)))
+    layout = _layout(_entries(model))
+    return _unpack(_split(np.asarray(theta, dtype=np.float64), layout),
+                   model, layout)
 
 
-def _unpack(theta, model, layout):
-    for block, e, part in zip(model.layers, layout, _split(theta, layout)):
-        if isinstance(block, FirBlock):
-            block.taps[:] = part
-        else:
+def _unpack(parts, model, layout):
+    """Write one part per block into the model; FIR taps that are their
+    part already need no write."""
+    for block, e, part in zip(model.layers, layout, parts):
+        if isinstance(block, PolyNlBlock):
             block.coeffs.update(zip(e, part.tolist()))
+        elif block.taps is not part:
+            block.taps[:] = part
     return model
 
 
-def _residual(y_out, reference):
+def _residual(y_out, reference, frame=None):
+    """y - ref, formed in the frame's samples if a frame is given."""
     y, r = _as_array(y_out), _as_array(reference)
     if y.shape != r.shape:
         raise ValueError("output/reference length mismatch")
-    return y - r
+    return np.subtract(y, r, out=None if frame is None else frame.samples)
 
 
 def _energy(residual):
@@ -128,16 +132,18 @@ def loss(y_out, reference):
     return _energy(_residual(y_out, reference))
 
 
-def wh_backward(model, intermediates, reference, residual=None):
+def wh_backward(model, intermediates, reference, residual=None, plan=None):
     """Exact gradients of the normalized loss w.r.t. every coefficient.
 
     intermediates must come from wh_forward on the same model and input: one
-    input array per layer plus the final output. residual, the output minus
+    input per layer plus the final output. residual, the output minus
     reference, is formed here unless the caller passes the one it has. FIR
     gradients are the adjoint of the same-length zero-padded convolution
     (correlation with the flipped filter restricted to the same window);
     polynomial gradients are dE/da_m = sum_n g_n y_n^m with local slope
-    1 + sum m a_m y^(m-1), both from one chain of powers of y.
+    1 + sum m a_m y^(m-1), both from one chain of powers of y. Given the
+    plan of the forward, the powers are the forward's, and each FIR block's
+    output gradient is held in its frame (the block after writes into it).
     """
     if len(intermediates) != len(model.layers) + 1:
         raise ValueError("intermediates do not match the model")
@@ -147,30 +153,35 @@ def wh_backward(model, intermediates, reference, residual=None):
     # the gradient vector by 1/N once (exact when N is a power of two)
     g = residual
     entries = _entries(model)
+    grads = [None] * len(model.layers) if plan is None else plan.grads
     pos = sum(len(e) for e in entries)
     flat = np.empty(pos)
     for i in range(len(model.layers) - 1, -1, -1):
         block = model.layers[i]
         x_in = intermediates[i]
-        if x_in.shape != g.shape:
+        if len(x_in) != len(g):
             raise ValueError("intermediates do not match the model")
         pos -= len(entries[i])
         # at i == 0, g would become the gradient w.r.t. the model input,
         # which nothing reads
         if isinstance(block, FirBlock):
             k = block.taps.size
+            if grads[i] is not None:
+                g = grads[i].hold(g)
             flat[pos:pos + k] = kernels.fir_grad_taps(g, x_in, k)
             if i > 0:
                 g = kernels.fir_grad_input(g, block.taps)
         elif block.coeffs:
             orders = block.orders()
-            p = kernels.powers(x_in, orders[-1])
+            p = (kernels.powers(x_in, orders[-1]) if plan is None
+                 else plan.powers[i])
             for j, m in enumerate(orders):
                 flat[pos + j] = kernels.inner(g, p[m - 1])
             if i > 0:
                 slope = kernels.poly_slope(p, orders, block.values())
-                slope *= g
-                g = slope
+                before = grads[i - 1]
+                g = np.multiply(slope, g, out=slope if before is None
+                                else before.samples)
     flat /= residual.size
     return WhGradients(entries, flat)
 
@@ -198,12 +209,15 @@ class FitConfig:
 
 
 class AdamState:
-    """Adam moments over the packed coefficient vector of one model.
+    """Adam moments over the packed coefficient vector theta of one model.
 
     Taps and nonlinear coefficients get separate learning rates because
     their magnitudes differ by orders of magnitude in practice; a zero
-    lr_nl holds the nonlinearity fixed. The model's coefficient layout and
-    each coordinate's learning rate (rate) are recorded once, here.
+    lr_nl holds the nonlinearity fixed. The model's coefficient layout,
+    each coordinate's learning rate (rate) and theta, packed from the model
+    here, are recorded once. parts cuts theta into one view per block; a
+    fit makes them its model's FIR taps, so that theta is the one store of
+    the coefficients it steps.
     """
 
     def __init__(self, model, lr_taps=FitConfig.lr_taps,
@@ -212,15 +226,18 @@ class AdamState:
         self.rate = np.repeat([lr_taps if isinstance(e, range) else lr_nl
                                for e in self.layout],
                               [len(e) for e in self.layout])
+        self.theta = pack(model)
+        self.parts = _split(self.theta, self.layout)
         self.t = 0
         self.m = np.zeros(self.rate.size)
         self.v = np.zeros(self.rate.size)
 
 
 def adam_step(state, model, grads):
-    """One bias-corrected Adam update of pack(model), in place; returns
-    (state, model). Taps step with lr_taps, polynomial coefficients with
-    lr_nl."""
+    """One bias-corrected Adam update of state.theta, in place, written
+    into the model (FIR taps that are the state's parts need no write);
+    returns (state, model). Taps step with lr_taps, polynomial coefficients
+    with lr_nl."""
     layout = _layout(_entries(model))
     if not grads.layout == state.layout == layout:
         raise ValueError("gradient/state/model coefficient layout mismatch")
@@ -230,8 +247,8 @@ def adam_step(state, model, grads):
     state.v = BETA2 * state.v + (1.0 - BETA2) * g ** 2
     m_hat = state.m / (1.0 - BETA1 ** state.t)
     v_hat = state.v / (1.0 - BETA2 ** state.t)
-    _unpack(pack(model) - state.rate * m_hat / (np.sqrt(v_hat) + EPS),
-            model, layout)
+    state.theta -= state.rate * m_hat / (np.sqrt(v_hat) + EPS)
+    _unpack(state.parts, model, layout)
     return state, model
 
 
@@ -279,22 +296,31 @@ def fit_postestimator(received, reference, init, cfg):
     received must already be synchronized and RMS-matched to reference.
     Stops at the iteration budget or when the relative loss change over
     TOL_WINDOW iterations drops below cfg.tol. Returns the best model
-    seen (so the final loss never exceeds the initial one).
+    seen (so the final loss never exceeds the initial one). What the steps
+    reuse (frames of the FIR blocks' inputs and gradients, see model.Plan)
+    is built once per fit.
     """
     model = init.copy()
     state = AdamState(model, lr_taps=cfg.lr_taps, lr_nl=cfg.lr_nl)
-    n = received.samples.size
+    # the state's theta is the fit's one coefficient store: the FIR taps
+    # become views into it, which adam_step updates in place
+    for block, part in zip(model.layers, state.parts):
+        if isinstance(block, FirBlock):
+            block.taps = part
+    plan = Plan(model, received.samples)
+    x = received.with_samples(plan.x_in)
+    n = x.samples.size
     history = []
     best_loss, best_theta, best_inter = np.inf, None, None
     for it in range(cfg.iterations):
-        out, inter = wh_forward(model, received)
-        r = _residual(out, reference)
+        out, inter = wh_forward(model, x, plan)
+        r = _residual(out, reference, plan.grads[-1])
         j = _energy(r) / n
         if not np.isfinite(j):
             raise TrainingDivergedError(it)
         if j < best_loss:
-            best_loss, best_theta, best_inter = j, pack(model), inter
-        grads = wh_backward(model, inter, reference, residual=r)
+            best_loss, best_theta, best_inter = j, state.theta.copy(), inter
+        grads = wh_backward(model, inter, reference, residual=r, plan=plan)
         history.append((it, j, grads.norm()))
         adam_step(state, model, grads)
         if it >= TOL_WINDOW:

@@ -103,47 +103,79 @@ def fir_apply(block, x):
     return x.with_samples(kernels.fir_same(x.samples, block.taps))
 
 
-def _poly(block, y):
+def _poly(block, y, out=None):
+    """(block output, powers of y); the output is formed in out, if given."""
     if not block.coeffs:
-        return y.copy()
-    return kernels.poly_apply(y, block.orders(), block.values())
+        out = np.empty_like(y) if out is None else out
+        out[:] = y
+        return out, None
+    return kernels.poly_apply(y, block.orders(), block.values(), out)
 
 
 def nl_apply(block, y):
     """Elementwise x + sum a_m x^m; memoryless."""
-    return y.with_samples(_poly(block, y.samples))
+    return y.with_samples(_poly(block, y.samples)[0])
 
 
-def run_cascade(model, y, scale=None):
+class Plan:
+    """What every step of a fit reuses, built once per fit for one model
+    and its input x (an array): for each FIR block a frame of its input and
+    one of its output gradient (kernels.Frame), and for each polynomial
+    block the powers of its input that the last forward formed, which the
+    backward reads. x is framed here; x_in is what the forward takes as
+    the model input (the frame's samples, or x before a polynomial block).
+    """
+
+    def __init__(self, model, x):
+        frames = [[kernels.Frame(len(x), b.taps.size)
+                   if isinstance(b, FirBlock) else None
+                   for b in model.layers] for _ in range(2)]
+        # the model output (inputs[-1]) is written to no frame
+        self.inputs, self.grads = frames[0] + [None], frames[1]
+        self.powers = [None] * len(model.layers)
+        self.x_in = x if frames[0][0] is None else frames[0][0].hold(x).samples
+
+
+def run_cascade(model, y, scale=None, plan=None):
     """Run the cascade on a sample array; returns (output array,
     intermediates), the one walker behind wh_forward and apply_dpd.
 
-    The intermediates list holds each layer's input array (x^(l) for FIR
-    blocks, y^(l) for nonlinear blocks) followed by the final output; it is
+    The intermediates list holds each layer's input (x^(l) for FIR blocks,
+    y^(l) for nonlinear blocks) followed by the final output; it is
     consumed by the backward pass. Given scale, a function of (layer index,
     input array) giving a factor s, each nonlinear block runs on s*y and its
-    output is divided by s.
+    output is divided by s. Given a plan, each FIR block's input is its
+    frame in the plan (the block before writes into it), and each
+    polynomial block leaves the powers of its input there.
     """
+    inputs = ([None] * (len(model.layers) + 1) if plan is None
+              else plan.inputs)
     intermediates = []
     for i, block in enumerate(model.layers):
+        if inputs[i] is not None:
+            y = inputs[i].hold(y)
         intermediates.append(y)
         if isinstance(block, FirBlock):
             y = kernels.fir_same(y, block.taps)
         elif not isinstance(block, PolyNlBlock):
             raise TypeError(f"unknown block type {type(block).__name__}")
         elif scale is None:
-            y = _poly(block, y)
+            after = inputs[i + 1]
+            y, p = _poly(block, y, None if after is None else after.samples)
+            if plan is not None:
+                plan.powers[i] = p
         else:
             s = scale(i, y)
-            y = _poly(block, y * s) / s
+            y = _poly(block, y * s)[0] / s
     intermediates.append(y)
     return y, intermediates
 
 
-def wh_forward(model, x):
+def wh_forward(model, x, plan=None):
     """Run the cascade on a signal; returns (output signal, intermediates),
-    see run_cascade."""
-    out, intermediates = run_cascade(model, x.samples)
+    see run_cascade. Given a plan, x holds the plan's x_in as its samples,
+    so the input is framed only once."""
+    out, intermediates = run_cascade(model, x.samples, plan=plan)
     return x.with_samples(out), intermediates
 
 

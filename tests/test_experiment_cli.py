@@ -152,6 +152,13 @@ def test_evaluate_drives_the_rails_with_different_noise_seeds(monkeypatch):
     assert len(seeds) == 2 and seeds[0] != seeds[1]
 
 
+@pytest.mark.parametrize("peak", [0.0, -1.0, float("inf"), float("nan")])
+def test_scale_to_peak_requires_a_finite_positive_peak(peak):
+    with pytest.raises(ValueError, match="drive amplitude must be > 0 and "
+                       "finite"):
+        scale_to_peak(np.ones(8), peak)
+
+
 def test_scale_to_peak_rejects_all_zero_signal():
     with pytest.raises(ValueError, match="all-zero signal"):
         scale_to_peak(np.zeros(8), 1.0)
@@ -399,10 +406,24 @@ def test_build_config_rejects_unknown_or_repeated_keys(doc):
     ({"sweep": {"amplitudes": [0.5, float("inf")]}},
      "amplitudes must all be finite and > 0"),
     ({"channel": "lab"}, "unknown channel preset 'lab'"),
+    ({"signal": {"n_symbols": 256.5}}, "n_symbols must be an integer"),
+    ({"signal": {"samples_per_symbol": 2.5}},
+     "samples_per_symbol must be an integer"),
+    ({"signal": {"samples_per_symbol": True}},
+     "samples_per_symbol must be an integer"),
+    ({"seed": 1.5}, "seed must be an integer"),
+    ({"signal": {"order": 16.0}}, "order must be an integer"),
+    ({"signal": {"span_symbols": 16.0}}, "span_symbols must be an integer"),
+    ({"train_amplitude": float("inf")}, "train_amplitude is inf"),
+    ({"train_amplitude": "0.5"}, "train_amplitude is '0.5'"),
 ], ids=["lr_nl-negative", "lr_taps-nan", "lr_taps-inf", "tol-zero",
         "tol-nan", "iterations-zero", "k1-zero", "k2-negative",
         "iterations-float", "iterations-bool", "iterations-inf", "k1-float",
-        "k2-bool", "amplitude-nan", "amplitude-inf", "unknown-preset"])
+        "k2-bool", "amplitude-nan", "amplitude-inf", "unknown-preset",
+        "n_symbols-float", "samples_per_symbol-float",
+        "samples_per_symbol-bool", "seed-float", "order-float",
+        "span_symbols-float", "train_amplitude-inf",
+        "train_amplitude-string"])
 def test_build_config_rejects_bad_values(doc, message):
     with pytest.raises(ValueError, match=message):
         build_config(doc)
@@ -421,8 +442,21 @@ def test_config_counts_accept_numpy_integers():
     ("train", {"fit": {"lr_taps": float("nan")}}, "lr_taps must be finite"),
     ("sweep", {"sweep": {"amplitudes": [float("nan")]}},
      "amplitudes must all be finite"),
+    ("train", {"train_amplitude": float("inf")},
+     "config error: drive amplitude must be > 0 and finite: "
+     "train_amplitude is inf"),
+    ("train", {"train_amplitude": "0.5"},
+     "config error: drive amplitude must be > 0 and finite: "
+     "train_amplitude is '0.5'"),
+    ("train", {"signal": {"n_symbols": 256.5}},
+     "config error: n_symbols must be an integer"),
+    ("sweep", {"signal": {"samples_per_symbol": 2.5}},
+     "config error: samples_per_symbol must be an integer"),
+    ("sweep", {"seed": 1.5}, "config error: seed must be an integer"),
 ], ids=["train-k1", "sweep-k1", "train-lr_nl", "train-lr_taps-nan",
-        "sweep-amplitude-nan"])
+        "sweep-amplitude-nan", "train-amplitude-inf", "train-amplitude-string",
+        "train-n_symbols-float", "sweep-samples_per_symbol-float",
+        "sweep-seed-float"])
 def test_cli_rejects_bad_config_value(tmp_path, capsys, command, over,
                                       message):
     cfg_path = write_config(tmp_path / "cfg.json", **over)

@@ -241,6 +241,32 @@ def test_fir_grad_taps_matches_direct_correlation(n, k):
                                atol=1e-12 * np.max(np.abs(ref)))
 
 
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 64), k=st.integers(1, 40),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(n=1, k=2, seed=0)
+@example(n=3, k=40, seed=0)
+def test_fir_kernels_give_the_same_bits_on_frames(n, k, seed):
+    # a frame serves every centre offset from one buffer; the kernels read
+    # it without a copy and give what they give on the plain array
+    rng = np.random.default_rng(seed)
+    x, g, h = rng.normal(size=n), rng.normal(size=n), rng.normal(size=k)
+    fx, fg = kernels.Frame(n, k).hold(x), kernels.Frame(n, k).hold(g)
+    assert len(fx) == n and fx.hold(fx.samples) is fx
+    for _ in range(2):  # the second call reuses the kept rows and band
+        assert np.array_equal(fir_same(fx, h), fir_same(x, h))
+        assert np.array_equal(fir_grad_input(fg, h), fir_grad_input(g, h))
+        assert np.array_equal(fir_grad_taps(fg, fx, k),
+                              fir_grad_taps(g, x, k))
+    assert not np.any(np.delete(fx.buf, np.arange(k - 1, k - 1 + n)))
+
+
+def test_fir_kernels_reject_a_frame_for_other_taps():
+    frame = kernels.Frame(8, 5)
+    with pytest.raises(ValueError, match="frame laid out for 5 taps, not 3"):
+        fir_same(frame, np.ones(3))
+
+
 def test_inner_is_conjugated_dot():
     rng = np.random.default_rng(5)
     a = rng.normal(size=33) + 1j * rng.normal(size=33)
@@ -459,8 +485,8 @@ def test_fit_runs_forward_once_per_iteration(monkeypatch, tol):
     # the best iteration's loss and intermediates are kept, not recomputed
     calls = []
     real = learn.wh_forward
-    monkeypatch.setattr(learn, "wh_forward",
-                        lambda m, x: calls.append(1) or real(m, x))
+    monkeypatch.setattr(learn, "wh_forward", lambda m, x, *plan:
+                        calls.append(1) or real(m, x, *plan))
     rng = np.random.default_rng(12)
     ref = sig(rng.normal(size=256) * 0.4, 2)
     received, _ = real(WhModel.lnl(5, 5, a=0.1), ref)
@@ -508,6 +534,125 @@ def test_fit_copies_the_model_a_bounded_number_of_times(monkeypatch):
     assert art.iterations == 60 and improvements > 50
     assert len(copies) <= 2
     assert art.final_loss == min(j for _, j, _ in art.history)
+
+
+def reference_fit(received, reference, init, cfg):
+    """The fit without a plan: fresh arrays on every step, from wh_forward
+    on the plain signal, wh_backward and adam_step, on a model that owns
+    its taps. Returns (history, best theta, best amplitudes)."""
+    model = init.copy()
+    state = AdamState(model, lr_taps=cfg.lr_taps, lr_nl=cfg.lr_nl)
+    n = received.samples.size
+    history, best = [], (np.inf, None, None)
+    for it in range(cfg.iterations):
+        assert all(b.taps.base is None for b in model.layers
+                   if isinstance(b, FirBlock))
+        out, inter = wh_forward(model, received)
+        j = loss(out, reference) / n
+        if j < best[0]:
+            amps = {i: float(np.max(np.abs(inter[i])))
+                    for i, b in enumerate(model.layers)
+                    if isinstance(b, PolyNlBlock)}
+            best = (j, pack(model), amps)
+        grads = wh_backward(model, inter, reference)
+        history.append((it, j, grads.norm()))
+        adam_step(state, model, grads)
+    return history, best[1], best[2]
+
+
+def _criterion_1_models():
+    from test_acceptance import random_instance
+    rng = np.random.default_rng(100)
+    return [random_instance(rng)[0] for _ in range(12)]
+
+
+PLANNED_FIT_MODELS = {
+    "fir-only": lambda: WhModel([FirBlock([0.1, 0.9, -0.2, 0.05])]),
+    "poly-first": lambda: WhModel([PolyNlBlock({3: 0.05, 2: -0.02}),
+                                   FirBlock.identity(5)]),
+    "fir-poly-fir-poly": lambda: WhModel([
+        FirBlock.identity(5), PolyNlBlock({3: 0.02}), FirBlock([0.2, 0.9]),
+        PolyNlBlock({2: 0.01, 3: -0.03})]),
+    "fir-fir-empty-poly": lambda: WhModel([
+        FirBlock.identity(3), FirBlock([0.1, 1.0, 0.1]), PolyNlBlock({})]),
+    "lnl": lambda: WhModel.lnl(7, 5, a=0.01),
+    **{f"criterion-1-{i}": (lambda m=m: m.copy())
+       for i, m in enumerate(_criterion_1_models())},
+}
+
+
+@pytest.mark.parametrize("n, lr_nl", [(1, 1e-4), (3, 1e-4), (40, 1e-4),
+                                      (40, 0.0)],
+                         ids=["N=1", "K>N", "N=40", "lr_nl=0"])
+@pytest.mark.parametrize("name", sorted(PLANNED_FIT_MODELS))
+def test_planned_fit_matches_the_unplanned_loop_bit_for_bit(name, n, lr_nl):
+    # frames, taps as views of theta and the forward's powers change no
+    # bit of the fit; the models hold odd and even K, and K > N
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=n) * 0.5
+    received, ref = sig(x), sig(x + 0.1 * x ** 3 + 0.01 * rng.normal(size=n))
+    init = PLANNED_FIT_MODELS[name]()
+    cfg = FitConfig(iterations=25, lr_taps=1e-2, lr_nl=lr_nl, tol=1e-300)
+    art = fit_postestimator(received, ref, init, cfg)
+    history, theta, amps = reference_fit(received, ref, init, cfg)
+    assert art.history == history
+    assert pack(art.model).tobytes() == theta.tobytes()
+    assert art.nl_input_amplitudes == amps
+    assert art.final_loss == min(j for _, j, _ in history)
+
+
+def test_fit_builds_its_frames_once(monkeypatch):
+    built = []
+    real = kernels.Frame.__init__
+    monkeypatch.setattr(kernels.Frame, "__init__",
+                        lambda self, *a: built.append(a) or real(self, *a))
+    rng = np.random.default_rng(21)
+    ref = sig(rng.normal(size=256) * 0.4, 2)
+    received, _ = wh_forward(WhModel.lnl(5, 3, a=0.1), ref)
+    counts = []
+    for iterations in (10, 60):
+        built.clear()
+        art = fit_postestimator(received, ref, WhModel.lnl(5, 3),
+                                FitConfig(iterations=iterations, tol=1e-300))
+        assert art.iterations == iterations
+        counts.append(len(built))
+    # an input and an output-gradient frame per FIR block, whatever the
+    # number of steps
+    assert counts == [4, 4]
+    assert sorted(built) == [(256, 3), (256, 3), (256, 5), (256, 5)]
+
+
+def test_fit_steps_taps_that_are_views_of_theta(monkeypatch):
+    # theta is the fit's one coefficient store: adam_step updates the FIR
+    # taps in place, with no write-back
+    bound = []
+    real = learn.adam_step
+
+    def step(state, model, grads):
+        bound.append([b.taps.base is state.theta for b in model.layers
+                      if isinstance(b, FirBlock)])
+        return real(state, model, grads)
+
+    monkeypatch.setattr(learn, "adam_step", step)
+    rng = np.random.default_rng(23)
+    ref = sig(rng.normal(size=64) * 0.4, 2)
+    art = fit_postestimator(ref, ref, WhModel.lnl(5, 3),
+                            FitConfig(iterations=5))
+    assert bound == [[True, True]] * art.iterations
+
+
+def test_artifact_is_unchanged_by_a_later_fit():
+    rng = np.random.default_rng(22)
+    ref = sig(rng.normal(size=128) * 0.4, 2)
+    received, _ = wh_forward(WhModel.lnl(5, 5, a=0.1), ref)
+    cfg = FitConfig(iterations=30)
+    first = fit_postestimator(received, ref, WhModel.lnl(5, 5), cfg)
+    theta, amps = pack(first.model), dict(first.nl_input_amplitudes)
+    # a second fit from the first's model, and one on other data
+    fit_postestimator(received, ref, first.model, cfg)
+    fit_postestimator(sig(ref.samples[::-1]), ref, WhModel.lnl(5, 5), cfg)
+    assert pack(first.model).tobytes() == theta.tobytes()
+    assert first.nl_input_amplitudes == amps
 
 
 FIT_PAGE_FAULTS = """
