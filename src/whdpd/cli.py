@@ -1,7 +1,8 @@
 """Command-line experiment runner.
 
 Subcommands: train, sweep, sweep-fixed, complexity, simulate.
-Exit codes: 0 success, 1 config or usage error, 2 divergence, 3 I/O error.
+Exit codes: 0 success, 1 config or usage error, 2 the run failed: training
+diverged or the capture could not be aligned, 3 I/O error.
 """
 
 import argparse
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dsp import SampledSignal
+from .dsp import AlignmentError, SampledSignal
 from .experiment import (ExperimentConfig, Workbench, run_experiment,
                          save_artifact, sweep_amplitude_with_fixed_dpd)
 from .learn import FitConfig, TrainingDivergedError, artifact_from_dict
@@ -22,7 +23,7 @@ from .txsim import channel_from_dict, paper_like_preset, simulate_tx
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
-EXIT_DIVERGED = 2
+EXIT_FAILED = 2
 EXIT_IO = 3
 
 PRESETS = {"paper-like": paper_like_preset}
@@ -115,7 +116,7 @@ def cmd_sweep(args):
     if failed:
         print(f"error: training diverged at {len(failed)} sweep point(s)",
               file=sys.stderr)
-        return EXIT_DIVERGED
+        return EXIT_FAILED
     return EXIT_OK
 
 
@@ -209,9 +210,9 @@ def main(argv=None):
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
         return args.func(args)
-    except TrainingDivergedError as exc:
+    except (TrainingDivergedError, AlignmentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
+        return EXIT_FAILED
     except (ValueError, KeyError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

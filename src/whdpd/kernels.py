@@ -18,15 +18,15 @@ rows of the input by the rows of the output gradient and sums the K
 diagonals of the small product. With K in the hundreds, the last bits of a
 GEMM result depend on how many threads BLAS splits it over.
 
-Frames: a signal's rows are views of a Frame, a zero-filled buffer with the
-samples at a fixed place, so for any centre offset the rows are cut
-without a copy. A kernel given a plain array frames it on entry, in one
-buffer just large enough for the call. A fit builds one frame per FIR
-block's input and one per its output gradient, once (model.Plan): the
-capture is framed once, each block writes its output (or gradient) into
-the next frame, and a frame keeps its cut rows and the buffer of its band
-matrix from step to step. The GEMM products themselves are new arrays on
-every call.
+Frames: a signal's rows are views of a Frame, a zero-filled buffer with
+K-1 zeros in front of the samples, so for any centre offset the rows are
+cut without a copy. A kernel given a plain array frames it on entry, in a
+frame of that same layout used for the one call. A fit builds one frame
+per FIR block's input and one per its output gradient, once (model.Plan):
+the capture is framed once, each block writes its output (or gradient)
+into the next frame, and a frame keeps its cut rows and the buffer of its
+band matrix from step to step. The GEMM products themselves are new arrays
+on every call.
 
 Threads: OpenBLAS splits a dot product longer than 10 000 samples, or a
 GEMM above 2^18 multiply-adds, over its threads, and its idle threads spin
@@ -74,22 +74,19 @@ _recycle_freed_arrays()
 class Frame:
     """N samples inside a zero-filled buffer, laid out for K-tap filters.
 
-    The buffer is cut into rows of b = max(K-1, 16) samples. For a centre
-    offset c the kernels read the samples with K-1-c zeros in front, row by
-    row, each row with the K-1 samples after it, as views of the buffer
-    (rows). A frame made with lead=None has K-1 zeros in front, so it serves
-    every c in [0, K-1]; a one-off frame (lead = K-1-c) serves one c. Only
-    samples is ever written, so the margins stay zero. The frame keeps the
-    rows it has cut, and the band matrix of the last filter applied to it
-    (band).
+    The buffer holds K-1 zeros, the samples, and zeros up to whole rows of
+    b = max(K-1, 16) samples. For a centre offset c in [0, K-1] the kernels
+    read the samples with K-1-c zeros in front, row by row, each row with
+    the K-1 samples after it, as views of the buffer (rows). Only samples
+    is ever written, so the margins stay zero. The frame keeps the rows it
+    has cut, and the band matrix of the last filter applied to it (band).
     """
 
-    def __init__(self, n, k, lead=None):
+    def __init__(self, n, k):
         self.k, self.b = k, max(k - 1, 16)
         self.nb = -(-n // self.b)
-        self.lead = k - 1 if lead is None else lead
-        self.buf = np.zeros(self.lead + (self.nb + 1) * self.b)
-        self.samples = self.buf[self.lead:self.lead + n]
+        self.buf = np.zeros(k - 1 + (self.nb + 1) * self.b)
+        self.samples = self.buf[k - 1:k - 1 + n]
         self._cuts = {}
         self._hp = None
 
@@ -109,8 +106,7 @@ class Frame:
         cut = self._cuts.get(c)
         if cut is None:
             b, nb = self.b, self.nb
-            start = self.lead - (self.k - 1 - c)
-            seg = self.buf[start:start + (nb + 1) * b]
+            seg = self.buf[c:c + (nb + 1) * b]
             cut = self._cuts[c] = (seg.reshape(nb + 1, b)[:-1],
                                    seg[b:].reshape(nb, b)[:, :self.k - 1])
         return cut
@@ -129,20 +125,20 @@ class Frame:
         return self._t
 
 
-def _frame(x, k, c):
+def _frame(x, k):
     """x as a frame for K taps: x itself if it is one, else a one-off frame
-    of the array, laid out for centre offset c."""
+    of the array."""
     if isinstance(x, Frame):
         if x.k != k:
             raise ValueError(f"frame laid out for {x.k} taps, not {k}")
         return x
-    return Frame(len(x), k, k - 1 - c).hold(x)
+    return Frame(len(x), k).hold(x)
 
 
 def _fir(x, h, c):
     """y[n] = sum_k h[k] * x[n + c - k] for n in [0, N), x zero outside
     [0, N), for any N >= 1, K >= 1 and 0 <= c <= K-1."""
-    f = _frame(x, len(h), c)
+    f = _frame(x, len(h))
     rows, tails = f.rows(c)
     t = f.band(h)
     # row r of output: [row r, its tail] @ t, split at b
@@ -169,9 +165,9 @@ def fir_grad_taps(g, x, k):
     a = sum_r g_r^T [x_r, first K-1 of x_(r+1)] is one (b, b+K-1)
     product, and gh[K-1-d] is the sum of its d-th upper diagonal.
     """
-    fx = _frame(x, k, k // 2)
+    fx = _frame(x, k)
     rows, tails = fx.rows(k // 2)
-    gt = _frame(g, k, k - 1).rows(k - 1)[0].T
+    gt = _frame(g, k).rows(k - 1)[0].T
     b = fx.b
     a = np.empty((b, b + k - 1))
     np.matmul(gt, rows, out=a[:, :b])
@@ -183,9 +179,9 @@ def fir_grad_taps(g, x, k):
 
 
 def inner(a, b):
-    """sum(conj(a) * b) over two equal-length arrays, summed by numpy on
+    """sum(conj(a) * b) over two equal-length 1-D arrays, summed by numpy on
     the calling thread (np.dot and np.vdot hand it to BLAS)."""
-    return np.einsum("i,i", np.ravel(a).conj(), np.ravel(b))
+    return np.einsum("i,i", a.conj(), b)
 
 
 def powers(y, top):

@@ -32,24 +32,11 @@ class TrainingDivergedError(RuntimeError):
         self.iteration = iteration
 
 
-def _values(entry):
-    """One block's coefficients (or their gradient) as a vector: FIR taps
-    as stored, an order->value dict by ascending order."""
-    if isinstance(entry, dict):
-        return np.array([entry[m] for m in sorted(entry)], dtype=np.float64)
-    return np.asarray(entry, dtype=np.float64)
-
-
-def _entries(model):
-    return [b.taps if isinstance(b, FirBlock) else b.coeffs
-            for b in model.layers]
-
-
-def _layout(entries):
+def _layout(model):
     """Per block, its coefficients' keys in pack's order: range(K) for the
-    taps of an FIR block, the ascending orders of a polynomial block."""
-    return [tuple(sorted(e)) if isinstance(e, dict) else range(len(e))
-            for e in entries]
+    taps of an FIR block, the orders() of a polynomial block."""
+    return [range(b.taps.size) if isinstance(b, FirBlock) else b.orders()
+            for b in model.layers]
 
 
 def _split(flat, layout):
@@ -64,21 +51,16 @@ def _split(flat, layout):
 
 
 class WhGradients:
-    """A gradient over the model's coefficients: flat in pack's layout,
-    and per_layer block by block (an array per FIR block, an order->value
-    dict per polynomial block).
+    """A gradient over the model's coefficients: flat, a vector in pack's
+    layout (layout, see _layout), and per_layer block by block (an array
+    per FIR block, an order->value dict per polynomial block).
 
-    Built from per-block entries, or, given flat, from entries whose shapes
-    and keys only set the layout (wh_backward passes the model's own).
     per_layer is formed from flat on each access, as copies: writing to it
     does not change the gradient.
     """
 
-    def __init__(self, per_layer, flat=None):
-        self.layout = _layout(per_layer)
-        if flat is None:
-            flat = np.concatenate([_values(e) for e in per_layer])
-        self.flat = flat
+    def __init__(self, layout, flat):
+        self.layout, self.flat = layout, flat
 
     @property
     def per_layer(self):
@@ -93,13 +75,14 @@ class WhGradients:
 def pack(model):
     """The model's coefficients as one vector theta, block by block: FIR
     taps as stored, polynomial coefficients by ascending order."""
-    return np.concatenate([_values(e) for e in _entries(model)])
+    return np.concatenate([b.taps if isinstance(b, FirBlock) else b.values()
+                           for b in model.layers])
 
 
 def unpack(theta, model):
     """Write theta back into the model's blocks in place (the inverse of
     pack); returns the model."""
-    layout = _layout(_entries(model))
+    layout = _layout(model)
     return _unpack(_split(np.asarray(theta, dtype=np.float64), layout),
                    model, layout)
 
@@ -152,16 +135,16 @@ def wh_backward(model, intermediates, reference, residual=None, plan=None):
     # the pass is linear in the residual: run it on the residual and scale
     # the gradient vector by 1/N once (exact when N is a power of two)
     g = residual
-    entries = _entries(model)
+    layout = _layout(model)
     grads = [None] * len(model.layers) if plan is None else plan.grads
-    pos = sum(len(e) for e in entries)
+    pos = sum(map(len, layout))
     flat = np.empty(pos)
     for i in range(len(model.layers) - 1, -1, -1):
-        block = model.layers[i]
+        block, keys = model.layers[i], layout[i]
         x_in = intermediates[i]
         if len(x_in) != len(g):
             raise ValueError("intermediates do not match the model")
-        pos -= len(entries[i])
+        pos -= len(keys)
         # at i == 0, g would become the gradient w.r.t. the model input,
         # which nothing reads
         if isinstance(block, FirBlock):
@@ -171,19 +154,18 @@ def wh_backward(model, intermediates, reference, residual=None, plan=None):
             flat[pos:pos + k] = kernels.fir_grad_taps(g, x_in, k)
             if i > 0:
                 g = kernels.fir_grad_input(g, block.taps)
-        elif block.coeffs:
-            orders = block.orders()
-            p = (kernels.powers(x_in, orders[-1]) if plan is None
+        elif keys:
+            p = (kernels.powers(x_in, keys[-1]) if plan is None
                  else plan.powers[i])
-            for j, m in enumerate(orders):
+            for j, m in enumerate(keys):
                 flat[pos + j] = kernels.inner(g, p[m - 1])
             if i > 0:
-                slope = kernels.poly_slope(p, orders, block.values())
+                slope = kernels.poly_slope(p, keys, block.values())
                 before = grads[i - 1]
                 g = np.multiply(slope, g, out=slope if before is None
                                 else before.samples)
     flat /= residual.size
-    return WhGradients(entries, flat)
+    return WhGradients(layout, flat)
 
 
 @dataclass
@@ -222,7 +204,7 @@ class AdamState:
 
     def __init__(self, model, lr_taps=FitConfig.lr_taps,
                  lr_nl=FitConfig.lr_nl):
-        self.layout = _layout(_entries(model))
+        self.layout = _layout(model)
         self.rate = np.repeat([lr_taps if isinstance(e, range) else lr_nl
                                for e in self.layout],
                               [len(e) for e in self.layout])
@@ -238,7 +220,7 @@ def adam_step(state, model, grads):
     into the model (FIR taps that are the state's parts need no write);
     returns (state, model). Taps step with lr_taps, polynomial coefficients
     with lr_nl."""
-    layout = _layout(_entries(model))
+    layout = _layout(model)
     if not grads.layout == state.layout == layout:
         raise ValueError("gradient/state/model coefficient layout mismatch")
     g = grads.flat
@@ -274,10 +256,13 @@ def artifact_to_dict(artifact):
 
 
 def artifact_from_dict(doc):
+    amps = doc["nl_input_amplitudes"]
+    if not isinstance(amps, dict):
+        raise TypeError("nl_input_amplitudes must be a block -> amplitude "
+                        f"mapping, not {type(amps).__name__}")
     return DpdArtifact(
         model=model_from_dict(doc),
-        nl_input_amplitudes={int(k): float(v) for k, v
-                             in doc["nl_input_amplitudes"].items()},
+        nl_input_amplitudes={int(k): float(v) for k, v in amps.items()},
         final_loss=float(doc["final_loss"]),
         iterations=int(doc["iterations"]))
 

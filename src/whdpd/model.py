@@ -24,6 +24,8 @@ class FirBlock:
 
     def __post_init__(self):
         self.taps = np.asarray(self.taps, dtype=np.float64)
+        if self.taps.ndim != 1:
+            raise ValueError("FIR taps must be a 1-D array")
         if self.taps.size < 1:
             raise ValueError("FIR block needs at least one tap")
         if not np.all(np.isfinite(self.taps)):
@@ -48,21 +50,27 @@ class PolyNlBlock:
     coeffs: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not isinstance(self.coeffs, dict):
+            raise TypeError("polynomial coefficients must be an order -> "
+                            f"value mapping, not {type(self.coeffs).__name__}")
         clean = {}
         for m, a in self.coeffs.items():
-            m = int(m)
+            m, a = int(m), float(a)
             if m < 2:
                 raise ValueError("polynomial orders must be >= 2")
             if not np.isfinite(a):
                 raise ValueError("polynomial coefficients must be finite")
-            clean[m] = float(a)
+            clean[m] = a
         self.coeffs = clean
 
     def orders(self):
-        return np.array(sorted(self.coeffs), dtype=np.int64)
+        """The present orders, ascending: the one order of a block's
+        coefficients, which values, the forward and backward passes and the
+        packed coefficient vector all follow."""
+        return tuple(sorted(self.coeffs))
 
     def values(self):
-        return np.array([self.coeffs[m] for m in sorted(self.coeffs)])
+        return np.array([self.coeffs[m] for m in self.orders()])
 
     @classmethod
     def cubic(cls, a=0.0):

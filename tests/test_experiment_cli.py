@@ -1,7 +1,10 @@
 import csv
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -339,6 +342,69 @@ def test_cli_exit_codes(tmp_path, capsys):
                  "--input", str(tmp_path / "missing.csv"),
                  "--output", str(tmp_path / "o.csv")]) == 3
     assert capsys.readouterr().err.startswith("i/o error: ")
+
+
+def _set_coeffs(value):
+    def edit(doc):
+        doc["layers"][1]["coeffs"] = value
+    return edit
+
+
+def _nest_taps(doc):
+    doc["layers"][0]["taps"] = [doc["layers"][0]["taps"]]
+
+
+def _list_amplitudes(doc):
+    doc["nl_input_amplitudes"] = []
+
+
+@pytest.mark.parametrize("command, edit, message", [
+    ("complexity", _set_coeffs([1, 2]),
+     "polynomial coefficients must be an order -> value mapping, not list"),
+    ("complexity", _set_coeffs(None),
+     "polynomial coefficients must be an order -> value mapping, not "
+     "NoneType"),
+    ("complexity", _set_coeffs({"3": "x"}),
+     "could not convert string to float: 'x'"),
+    ("complexity", _nest_taps, "FIR taps must be a 1-D array"),
+    ("sweep-fixed", _list_amplitudes,
+     "nl_input_amplitudes must be a block -> amplitude mapping, not list"),
+    ("sweep-fixed", _nest_taps, "FIR taps must be a 1-D array"),
+], ids=["coeffs-list", "coeffs-null", "coeff-string", "nested-taps",
+        "amplitudes-list", "artifact-nested-taps"])
+def test_cli_names_the_file_of_a_malformed_model(tmp_path, capsys, command,
+                                                 edit, message):
+    path = write_artifact(tmp_path / "a.json", {1: 0.5})
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    argv = (["complexity", "--model", str(path)] if command == "complexity"
+            else ["sweep-fixed", "--config",
+                  str(write_config(tmp_path / "cfg.json")),
+                  "--artifact", str(path), "--out", str(tmp_path / "o")])
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"config error: {path}: {message}\n"
+
+
+def test_cli_train_exits_2_when_the_capture_cannot_be_aligned(tmp_path):
+    # an MZM with a tiny V_pi folds the drive over many periods, so the
+    # capture no longer correlates with the signal
+    channel = channel_to_dict(paper_like_preset())["channel"]
+    channel["mzm"] = {"v_pi": 0.001}
+    cfg_path = write_config(tmp_path / "cfg.json",
+                            signal={"n_symbols": 256}, fit={"iterations": 20},
+                            train_amplitude=0.9, channel=channel)
+    argv = ["train", "--config", str(cfg_path), "--out", str(tmp_path / "o")]
+    src = str(Path(whdpd.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep)
+                 if p]))
+    done = subprocess.run([sys.executable, "-m", "whdpd.cli", *argv],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert done.stderr == ("error: correlation peak below floor; alignment "
+                           "ambiguous\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -125,7 +125,10 @@ def test_backward_flat_gradient_is_per_layer_in_pack_layout():
     per_layer = grads.per_layer
     assert np.array_equal(grads.flat, np.concatenate(
         [per_layer[0], [per_layer[1][2], per_layer[1][3]], per_layer[2]]))
-    rebuilt = WhGradients(per_layer)
+    layout = learn._layout(model)
+    rebuilt = WhGradients(layout, np.concatenate(
+        [part if isinstance(keys, range) else [part[m] for m in keys]
+         for keys, part in zip(layout, per_layer)]))
     assert np.array_equal(rebuilt.flat, grads.flat)
     assert rebuilt.norm() == grads.norm()
 
@@ -241,6 +244,40 @@ def test_fir_grad_taps_matches_direct_correlation(n, k):
                                atol=1e-12 * np.max(np.abs(ref)))
 
 
+def _padded_rows(x, k, c):
+    """x copied behind K-1-c zeros and cut into rows of b = max(K-1, 16)
+    samples: (b, the rows that cover x, the K-1 samples after each row)."""
+    b = max(k - 1, 16)
+    nb = -(-len(x) // b)
+    xp = np.zeros((nb + 1) * b)
+    xp[k - 1 - c:k - 1 - c + len(x)] = x
+    return b, xp.reshape(nb + 1, b)[:-1], xp[b:].reshape(nb, b)[:, :k - 1]
+
+
+def _reference_fir(x, h, c):
+    # the kernels' products, on rows of a padded copy of x
+    k = len(h)
+    b, rows, tails = _padded_rows(x, k, c)
+    hp = np.zeros(2 * b + k - 2)
+    hp[b - 1:b - 1 + k] = h[::-1]
+    t = np.ndarray((b + k - 1, b), np.float64, hp, hp.itemsize * (b - 1),
+                   (hp.itemsize, -hp.itemsize))
+    y = rows @ t[:b]
+    y += tails @ t[b:]
+    return y.ravel()[:len(x)]
+
+
+def _reference_grad_taps(g, x, k):
+    b, rows, tails = _padded_rows(x, k, k // 2)
+    gt = _padded_rows(g, k, k - 1)[1].T
+    a = np.empty((b, b + k - 1))
+    np.matmul(gt, rows, out=a[:, :b])
+    np.matmul(gt, tails, out=a[:, b:])
+    diagonals = np.ndarray((b, k), np.float64, a, 0,
+                           (a.itemsize * (b + k), a.itemsize))
+    return np.add.reduce(diagonals, axis=0)[::-1]
+
+
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(1, 64), k=st.integers(1, 40),
        seed=st.integers(0, 2 ** 32 - 1))
@@ -248,16 +285,22 @@ def test_fir_grad_taps_matches_direct_correlation(n, k):
 @example(n=3, k=40, seed=0)
 def test_fir_kernels_give_the_same_bits_on_frames(n, k, seed):
     # a frame serves every centre offset from one buffer; the kernels read
-    # it without a copy and give what they give on the plain array
+    # it without a copy, and on a frame or a plain array give the bits of
+    # the same products on a padded copy of the signal
     rng = np.random.default_rng(seed)
     x, g, h = rng.normal(size=n), rng.normal(size=n), rng.normal(size=k)
     fx, fg = kernels.Frame(n, k).hold(x), kernels.Frame(n, k).hold(g)
     assert len(fx) == n and fx.hold(fx.samples) is fx
+    want = (_reference_fir(x, h, k // 2),
+            _reference_fir(g, h[::-1], k - 1 - k // 2),
+            _reference_grad_taps(g, x, k))
     for _ in range(2):  # the second call reuses the kept rows and band
-        assert np.array_equal(fir_same(fx, h), fir_same(x, h))
-        assert np.array_equal(fir_grad_input(fg, h), fir_grad_input(g, h))
-        assert np.array_equal(fir_grad_taps(fg, fx, k),
-                              fir_grad_taps(g, x, k))
+        for got in ((fir_same(fx, h), fir_grad_input(fg, h),
+                     fir_grad_taps(fg, fx, k)),
+                    (fir_same(x, h), fir_grad_input(g, h),
+                     fir_grad_taps(g, x, k))):
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
     assert not np.any(np.delete(fx.buf, np.arange(k - 1, k - 1 + n)))
 
 
@@ -311,7 +354,7 @@ def test_adam_first_step_magnitude():
     model = WhModel([FirBlock([0.0])])
     state = AdamState(model, lr_taps=0.01)
     from whdpd.learn import WhGradients
-    grads = WhGradients([np.array([0.37])])
+    grads = WhGradients([range(1)], np.array([0.37]))
     adam_step(state, model, grads)
     assert model.layers[0].taps[0] == pytest.approx(-0.01, rel=1e-4)
 
@@ -341,13 +384,13 @@ def test_adam_rejects_shape_mismatch():
     model = WhModel([FirBlock([0.0, 0.0])])
     state = AdamState(model)
     with pytest.raises(ValueError):
-        adam_step(state, model, WhGradients([np.array([1.0])]))
+        adam_step(state, model, WhGradients([range(1)], np.array([1.0])))
 
 
 def test_adam_rejects_gradient_for_other_orders():
     model = WhModel.lnl(3, 3, a=0.1)
     state = AdamState(model)
-    grads = WhGradients([np.ones(3), {2: 1.0}, np.ones(3)])
+    grads = WhGradients([range(3), (2,), range(3)], np.ones(7))
     with pytest.raises(ValueError):
         adam_step(state, model, grads)
 
@@ -356,7 +399,7 @@ def test_adam_rejects_state_and_gradient_for_other_block_sizes():
     # lnl(3, 3) and lnl(2, 4) both hold 7 coefficients
     other = WhModel.lnl(3, 3, a=0.1)
     state = AdamState(other)
-    grads = WhGradients([np.ones(3), {3: 1.0}, np.ones(3)])
+    grads = WhGradients([range(3), (3,), range(3)], np.ones(7))
     model = WhModel.lnl(2, 4, a=0.1)
     with pytest.raises(ValueError):
         adam_step(state, model, grads)
@@ -387,8 +430,8 @@ def test_pack_unpack_round_trip():
 def test_adam_step_matches_per_coefficient_recurrence():
     model = _fir_poly_fir()
     before = model.copy()
-    grads = WhGradients([np.array([0.3, -1.2, 0.05]), {3: -0.7, 2: 2.5},
-                         np.array([-0.4, 0.8])])
+    grads = WhGradients([range(3), (2, 3), range(2)],
+                        np.array([0.3, -1.2, 0.05, 2.5, -0.7, -0.4, 0.8]))
     lr_taps, lr_nl = 0.01, 0.002
     state = AdamState(model, lr_taps=lr_taps, lr_nl=lr_nl)
     adam_step(state, model, grads)
@@ -410,7 +453,8 @@ def test_adam_step_frozen_nonlinearity_is_bitwise_unchanged():
     model = _fir_poly_fir()
     coeffs = dict(model.layers[1].coeffs)
     taps = model.layers[0].taps.copy()
-    grads = WhGradients([np.ones(3), {3: -0.7, 2: 2.5}, np.ones(2)])
+    grads = WhGradients([range(3), (2, 3), range(2)],
+                        np.array([1.0, 1.0, 1.0, 2.5, -0.7, 1.0, 1.0]))
     state = AdamState(model, lr_nl=0.0)
     for _ in range(3):
         adam_step(state, model, grads)
