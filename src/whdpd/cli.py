@@ -2,7 +2,8 @@
 
 Subcommands: train, sweep, sweep-fixed, complexity, simulate.
 Exit codes: 0 success, 1 config or usage error, 2 the run failed: training
-diverged or the capture could not be aligned, 3 I/O error.
+diverged or the capture could not be aligned (in a sweep: any point failed;
+report.csv is still written and marks each failed row), 3 I/O error.
 """
 
 import argparse
@@ -10,6 +11,7 @@ import json
 import math
 import numbers
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +29,10 @@ EXIT_FAILED = 2
 EXIT_IO = 3
 
 PRESETS = {"paper-like": paper_like_preset}
+
+# what a sweep reports for the points whose rows name these errors
+FAILURES = {TrainingDivergedError.__name__: "training diverged",
+            AlignmentError.__name__: "capture could not be aligned"}
 
 CONFIG_KEYS = frozenset({"signal", "model", "fit", "sweep", "channel", "seed",
                          "train_amplitude"})
@@ -111,13 +117,12 @@ def cmd_sweep(args):
               f"snr={row['snr_db']:.2f} dB out_rms={row['out_rms']:.4f} "
               f"papr={row['papr_db']:.2f} dB")
     print(f"report written to {Path(args.out) / 'report.csv'}")
-    diverged = f"!error:{TrainingDivergedError.__name__}"
-    failed = [row for row in report.rows if row["mode"].endswith(diverged)]
-    if failed:
-        print(f"error: training diverged at {len(failed)} sweep point(s)",
+    failed = Counter(row["mode"].partition("!error:")[2]
+                     for row in report.rows if "!error:" in row["mode"])
+    for kind, count in sorted(failed.items()):
+        print(f"error: {FAILURES.get(kind, kind)} at {count} sweep point(s)",
               file=sys.stderr)
-        return EXIT_FAILED
-    return EXIT_OK
+    return EXIT_FAILED if failed else EXIT_OK
 
 
 def cmd_sweep_fixed(args):

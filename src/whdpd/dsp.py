@@ -178,7 +178,8 @@ def synchronize(reference, received, min_peak=0.1):
     corr = np.fft.irfft(np.fft.rfft(v) * np.conj(np.fft.rfft(rp)), v.size)
     peak = int(np.argmax(corr))
     norm = np.sqrt(inner(r, r) * inner(v, v))
-    if norm == 0 or corr[peak] / norm < min_peak:
+    # written so that a NaN in either signal fails it
+    if not (norm > 0 and corr[peak] / norm >= min_peak):
         raise AlignmentError("correlation peak below floor; alignment ambiguous")
     aligned = np.roll(v, -peak)[:r.size]
     return peak, received.with_samples(aligned)

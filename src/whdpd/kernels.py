@@ -21,12 +21,14 @@ GEMM result depend on how many threads BLAS splits it over.
 Frames: a signal's rows are views of a Frame, a zero-filled buffer with
 K-1 zeros in front of the samples, so for any centre offset the rows are
 cut without a copy. A kernel given a plain array frames it on entry, in a
-frame of that same layout used for the one call. A fit builds one frame
-per FIR block's input and one per its output gradient, once (model.Plan):
-the capture is framed once, each block writes its output (or gradient)
-into the next frame, and a frame keeps its cut rows and the buffer of its
-band matrix from step to step. The GEMM products themselves are new arrays
-on every call.
+frame of that same layout used for the one call, and returns new arrays.
+A fit builds one frame per FIR block's input and one per its output
+gradient, once (model.Plan): the capture is framed once, and a frame
+keeps its cut rows and its band matrix's buffer and views from step to
+step. A fit's frame also has an out, the array that the forward product
+(or input gradient) of a kernel on it is summed into, and shares a Work
+of the buffers that the GEMM products are written into with the other
+frames of its shape.
 
 Threads: OpenBLAS splits a dot product longer than 10 000 samples, or a
 GEMM above 2^18 multiply-adds, over its threads, and its idle threads spin
@@ -71,6 +73,16 @@ def _recycle_freed_arrays():
 _recycle_freed_arrays()
 
 
+def aligned(n, lead=0):
+    """An empty float64 array of n values whose value at index lead starts
+    on a 64-byte boundary, the width of an AVX-512 vector. numpy's vector
+    loops then split no cache line from there on: at N = 4096 an
+    elementwise product on aligned arrays takes about half the time."""
+    raw = np.empty(n + 7)
+    start = (-lead - raw.ctypes.data // 8) % 8
+    return raw[start:start + n]
+
+
 class Frame:
     """N samples inside a zero-filled buffer, laid out for K-tap filters.
 
@@ -80,6 +92,10 @@ class Frame:
     the K-1 samples after it, as views of the buffer (rows). Only samples
     is ever written, so the margins stay zero. The frame keeps the rows it
     has cut, and the band matrix of the last filter applied to it (band).
+    out and work are None unless a fit's plan sets them: then out is
+    (a, first N samples of a, dest), and _fir writes its first product
+    into a (see product) and sums it with the second, in work (a Work),
+    into dest.
     """
 
     def __init__(self, n, k):
@@ -88,10 +104,26 @@ class Frame:
         self.buf = np.zeros(k - 1 + (self.nb + 1) * self.b)
         self.samples = self.buf[k - 1:k - 1 + n]
         self._cuts = {}
-        self._hp = None
+        self._band = None
+        self.out = self.work = None
 
     def __len__(self):
         return len(self.samples)
+
+    def align(self):
+        """This frame, its buffer moved so that the samples start on a
+        64-byte boundary (see aligned); called before any rows are cut."""
+        buf = aligned(self.buf.size, self.k - 1)
+        buf[:] = self.buf
+        self.buf = buf
+        self.samples = buf[self.k - 1:self.k - 1 + len(self)]
+        return self
+
+    def product(self):
+        """An empty aligned (nb, b) array for a product over the rows, and
+        its first N samples."""
+        a = aligned(self.nb * self.b).reshape(self.nb, self.b)
+        return a, a.reshape(-1)[:len(self)]
 
     def hold(self, y):
         """This frame, with y copied into its samples unless y is them."""
@@ -105,24 +137,44 @@ class Frame:
         without a copy."""
         cut = self._cuts.get(c)
         if cut is None:
-            b, nb = self.b, self.nb
-            seg = self.buf[c:c + (nb + 1) * b]
-            cut = self._cuts[c] = (seg.reshape(nb + 1, b)[:-1],
-                                   seg[b:].reshape(nb, b)[:, :self.k - 1])
+            cut = self._cuts[c] = self._cut(c)
         return cut
+
+    def _cut(self, c):
+        b, nb = self.b, self.nb
+        seg = self.buf[c:c + (nb + 1) * b]
+        return (seg.reshape(nb + 1, b)[:-1],
+                seg[b:].reshape(nb, b)[:, :self.k - 1])
 
     def band(self, h):
         """t[j, i] = h[K-1-(j-i)] on the band 0 <= j-i <= K-1, zero
         elsewhere: a (b+K-1) x b strided view of the padded reversed taps,
-        whose buffer the frame keeps and refills."""
+        returned as its rows [:b] and [b:]; the frame keeps the buffer and
+        the views, and refills the buffer with h."""
+        if self._band is None:
+            self._band = self._views()
+        self._taps[:] = h
+        return self._band
+
+    def _views(self):
         b, k = self.b, self.k
-        if self._hp is None:
-            self._hp = np.zeros(2 * b + k - 2)
-            self._t = np.ndarray((b + k - 1, b), np.float64, self._hp,
-                                 self._hp.itemsize * (b - 1),
-                                 (self._hp.itemsize, -self._hp.itemsize))
-        self._hp[b - 1:b - 1 + k] = h[::-1]
-        return self._t
+        hp = np.zeros(2 * b + k - 2)
+        t = np.ndarray((b + k - 1, b), np.float64, hp, hp.itemsize * (b - 1),
+                       (hp.itemsize, -hp.itemsize))
+        # the taps sit reversed at hp[b-1:b-1+K]
+        self._taps = hp[b - 1:b - 1 + k][::-1]
+        return t[:b], t[b:]
+
+
+class Work:
+    """The buffers that the FIR kernels' GEMM products on frames of one
+    shape are written into, shared by a fit's frames of that shape: a
+    first and a second product of _fir (see Frame.product) and
+    fir_grad_taps' product (see _taps_product)."""
+
+    def __init__(self, frame):
+        self.first, self.second = frame.product(), frame.product()
+        self.taps = _taps_product(frame.b, frame.k)
 
 
 def _frame(x, k):
@@ -137,14 +189,21 @@ def _frame(x, k):
 
 def _fir(x, h, c):
     """y[n] = sum_k h[k] * x[n + c - k] for n in [0, N), x zero outside
-    [0, N), for any N >= 1, K >= 1 and 0 <= c <= K-1."""
+    [0, N), for any N >= 1, K >= 1 and 0 <= c <= K-1; summed into the
+    frame's out if it has one."""
     f = _frame(x, len(h))
     rows, tails = f.rows(c)
-    t = f.band(h)
+    top, bottom = f.band(h)
     # row r of output: [row r, its tail] @ t, split at b
-    y = rows @ t[:f.b]
-    y += tails @ t[f.b:]
-    return y.ravel()[:len(f)]
+    if f.out is None:
+        y = rows @ top
+        y += tails @ bottom
+        return y.ravel()[:len(f)]
+    first, first_n, dest = f.out
+    second, second_n = f.work.second
+    np.matmul(rows, top, out=first)
+    np.matmul(tails, bottom, out=second)
+    return np.add(first_n, second_n, out=dest)
 
 
 def fir_same(x, h):
@@ -168,14 +227,20 @@ def fir_grad_taps(g, x, k):
     fx = _frame(x, k)
     rows, tails = fx.rows(k // 2)
     gt = _frame(g, k).rows(k - 1)[0].T
-    b = fx.b
-    a = np.empty((b, b + k - 1))
-    np.matmul(gt, rows, out=a[:, :b])
-    np.matmul(gt, tails, out=a[:, b:])
-    # a[i, i+d] sits at i*(b+K) + d: row i of this view holds a[i, i:i+K]
-    diagonals = np.ndarray((b, k), np.float64, a, 0,
-                           (a.itemsize * (b + k), a.itemsize))
+    left, right, diagonals = (_taps_product(fx.b, k) if fx.work is None
+                              else fx.work.taps)
+    np.matmul(gt, rows, out=left)
+    np.matmul(gt, tails, out=right)
     return np.add.reduce(diagonals, axis=0)[::-1]
+
+
+def _taps_product(b, k):
+    """An empty (b, b+K-1) product a, as its columns [:b] and [b:] and the
+    view of its K upper diagonals: a[i, i+d] sits at i*(b+K) + d, so row i
+    of the view holds a[i, i:i+K]."""
+    a = np.empty((b, b + k - 1))
+    return a[:, :b], a[:, b:], np.ndarray((b, k), np.float64, a, 0,
+                                          (a.itemsize * (b + k), a.itemsize))
 
 
 def inner(a, b):
@@ -184,20 +249,21 @@ def inner(a, b):
     return np.einsum("i,i", a.conj(), b)
 
 
-def powers(y, top):
-    """[y, y**2, ..., y**top] by repeated multiplication; a float array
-    raised to an integer exponent calls pow() per element, ~50x slower."""
+def powers(y, top, out=None):
+    """[y, y**2, ..., y**top] by repeated multiplication, y**m formed in
+    out[m-2] if out is given; a float array raised to an integer exponent
+    calls pow() per element, ~50x slower."""
     p = [y]
-    for _ in range(top - 1):
-        p.append(p[-1] * y)
+    for o in [None] * (top - 1) if out is None else out:
+        p.append(np.multiply(p[-1], y, out=o))
     return p
 
 
-def poly_apply(y, orders, coeffs, out=None):
+def poly_apply(y, orders, coeffs, out=None, p_out=None):
     """(y + sum_m a_m * y**m over the present orders, ascending and
-    non-empty, and the powers p = powers(y, max order) it was formed from);
-    the last sum is formed in out, if given."""
-    p = powers(y, orders[-1])
+    non-empty, and the powers p = powers(y, max order, p_out) it was formed
+    from); the last sum is formed in out, if given."""
+    p = powers(y, orders[-1], p_out)
     res = y
     last = len(orders) - 1
     for j, (m, a) in enumerate(zip(orders, coeffs)):
@@ -208,12 +274,14 @@ def poly_apply(y, orders, coeffs, out=None):
     return res, p
 
 
-def poly_slope(p, orders, coeffs):
+def poly_slope(p, orders, coeffs, out=None):
     """Elementwise derivative 1 + sum_m m * a_m * y**(m-1), given the powers
-    p = powers(y, top) with top >= max order - 1."""
+    p = powers(y, top) with top >= max order - 1; the last sum is formed in
+    out, if given."""
     s = 1.0
-    for m, a in zip(orders, coeffs):
-        term = m * a * p[m - 2]
+    last = len(orders) - 1
+    for j, (m, a) in enumerate(zip(orders, coeffs)):
+        term = np.multiply(m * a, p[m - 2], out=out if j == last else None)
         term += s
         s = term
     return s

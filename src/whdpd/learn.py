@@ -8,6 +8,7 @@ length-independent. The training objective is therefore
 0.5*||y - ref||^2 / N.
 """
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -69,7 +70,7 @@ class WhGradients:
                 else part.copy() for e, part in zip(self.layout, parts)]
 
     def norm(self):
-        return float(np.sqrt(self.flat @ self.flat))
+        return math.sqrt(self.flat @ self.flat)
 
 
 def pack(model):
@@ -125,8 +126,9 @@ def wh_backward(model, intermediates, reference, residual=None, plan=None):
     (correlation with the flipped filter restricted to the same window);
     polynomial gradients are dE/da_m = sum_n g_n y_n^m with local slope
     1 + sum m a_m y^(m-1), both from one chain of powers of y. Given the
-    plan of the forward, the powers are the forward's, and each FIR block's
-    output gradient is held in its frame (the block after writes into it).
+    plan of the forward, the layout, the polynomial coefficients and the
+    powers are the plan's, each FIR block's output gradient is held in its
+    frame, and the gradient vector is the plan's flat.
     """
     if len(intermediates) != len(model.layers) + 1:
         raise ValueError("intermediates do not match the model")
@@ -134,15 +136,18 @@ def wh_backward(model, intermediates, reference, residual=None, plan=None):
         residual = _residual(intermediates[-1], reference)
     # the pass is linear in the residual: run it on the residual and scale
     # the gradient vector by 1/N once (exact when N is a power of two)
-    g = residual
-    layout = _layout(model)
-    grads = [None] * len(model.layers) if plan is None else plan.grads
-    pos = sum(map(len, layout))
-    flat = np.empty(pos)
+    g, n = residual, len(residual)
+    if plan is None:
+        layout = _layout(model)
+        grads = [None] * len(model.layers)
+        flat = np.empty(sum(map(len, layout)))
+    else:
+        layout, grads, flat = plan.layout, plan.grads, plan.flat
+    pos = flat.size
     for i in range(len(model.layers) - 1, -1, -1):
         block, keys = model.layers[i], layout[i]
         x_in = intermediates[i]
-        if len(x_in) != len(g):
+        if len(x_in) != n:
             raise ValueError("intermediates do not match the model")
         pos -= len(keys)
         # at i == 0, g would become the gradient w.r.t. the model input,
@@ -155,16 +160,18 @@ def wh_backward(model, intermediates, reference, residual=None, plan=None):
             if i > 0:
                 g = kernels.fir_grad_input(g, block.taps)
         elif keys:
-            p = (kernels.powers(x_in, keys[-1]) if plan is None
-                 else plan.powers[i])
+            p, coeffs = ((kernels.powers(x_in, keys[-1]), block.values())
+                         if plan is None else (plan.powers[i], plan.parts[i]))
             for j, m in enumerate(keys):
                 flat[pos + j] = kernels.inner(g, p[m - 1])
             if i > 0:
-                slope = kernels.poly_slope(p, keys, block.values())
+                # the slope and then the gradient into the block before are
+                # formed in that block's gradient frame, if it has one
                 before = grads[i - 1]
-                g = np.multiply(slope, g, out=slope if before is None
-                                else before.samples)
-    flat /= residual.size
+                slope = kernels.poly_slope(p, keys, coeffs, None if before
+                                           is None else before.samples)
+                g = np.multiply(slope, g, out=slope)
+    flat /= n
     return WhGradients(layout, flat)
 
 
@@ -199,7 +206,8 @@ class AdamState:
     each coordinate's learning rate (rate) and theta, packed from the model
     here, are recorded once. parts cuts theta into one view per block; a
     fit makes them its model's FIR taps, so that theta is the one store of
-    the coefficients it steps.
+    the coefficients it steps. adam_step updates theta, m and v in place,
+    through two vectors of its own (work).
     """
 
     def __init__(self, model, lr_taps=FitConfig.lr_taps,
@@ -211,8 +219,20 @@ class AdamState:
         self.theta = pack(model)
         self.parts = _split(self.theta, self.layout)
         self.t = 0
-        self.m = np.zeros(self.rate.size)
-        self.v = np.zeros(self.rate.size)
+        self.m, self.v, *self.work = np.zeros((4, self.rate.size))
+
+
+def _laid_out(model, layout):
+    """Whether layout is the model's (see _layout), checked block by block
+    without building the model's layout."""
+    if len(model.layers) != len(layout):
+        return False
+    for b, e in zip(model.layers, layout):
+        if not (isinstance(b, FirBlock) and b.taps.size == len(e)
+                if isinstance(e, range) else
+                isinstance(b, PolyNlBlock) and b.coeffs.keys() == set(e)):
+            return False
+    return True
 
 
 def adam_step(state, model, grads):
@@ -220,17 +240,25 @@ def adam_step(state, model, grads):
     into the model (FIR taps that are the state's parts need no write);
     returns (state, model). Taps step with lr_taps, polynomial coefficients
     with lr_nl."""
-    layout = _layout(model)
-    if not grads.layout == state.layout == layout:
+    if grads.layout != state.layout or not _laid_out(model, state.layout):
         raise ValueError("gradient/state/model coefficient layout mismatch")
-    g = grads.flat
+    g, m, v = grads.flat, state.m, state.v
+    a, b = state.work
     state.t += 1
-    state.m = BETA1 * state.m + (1.0 - BETA1) * g
-    state.v = BETA2 * state.v + (1.0 - BETA2) * g ** 2
-    m_hat = state.m / (1.0 - BETA1 ** state.t)
-    v_hat = state.v / (1.0 - BETA2 ** state.t)
-    state.theta -= state.rate * m_hat / (np.sqrt(v_hat) + EPS)
-    _unpack(state.parts, model, layout)
+    # m = BETA1*m + (1-BETA1)*g and v = BETA2*v + (1-BETA2)*g**2
+    m *= BETA1
+    m += np.multiply(g, 1.0 - BETA1, out=a)
+    v *= BETA2
+    v += np.multiply(np.square(g, out=a), 1.0 - BETA2, out=a)
+    # theta -= rate * m_hat / (sqrt(v_hat) + EPS)
+    np.divide(m, 1.0 - BETA1 ** state.t, out=a)
+    np.divide(v, 1.0 - BETA2 ** state.t, out=b)
+    np.sqrt(b, out=b)
+    b += EPS
+    a *= state.rate
+    a /= b
+    state.theta -= a
+    _unpack(state.parts, model, state.layout)
     return state, model
 
 
@@ -282,8 +310,9 @@ def fit_postestimator(received, reference, init, cfg):
     Stops at the iteration budget or when the relative loss change over
     TOL_WINDOW iterations drops below cfg.tol. Returns the best model
     seen (so the final loss never exceeds the initial one). What the steps
-    reuse (frames of the FIR blocks' inputs and gradients, see model.Plan)
-    is built once per fit.
+    reuse (the layout, frames of the FIR blocks' inputs and gradients and
+    the buffers that each step's arrays are formed in, see model.Plan) is
+    built once per fit.
     """
     model = init.copy()
     state = AdamState(model, lr_taps=cfg.lr_taps, lr_nl=cfg.lr_nl)
@@ -292,7 +321,7 @@ def fit_postestimator(received, reference, init, cfg):
     for block, part in zip(model.layers, state.parts):
         if isinstance(block, FirBlock):
             block.taps = part
-    plan = Plan(model, received.samples)
+    plan = Plan(model, received.samples, state.layout, state.parts)
     x = received.with_samples(plan.x_in)
     n = x.samples.size
     history = []
@@ -301,10 +330,12 @@ def fit_postestimator(received, reference, init, cfg):
         out, inter = wh_forward(model, x, plan)
         r = _residual(out, reference, plan.grads[-1])
         j = _energy(r) / n
-        if not np.isfinite(j):
+        if not math.isfinite(j):
             raise TrainingDivergedError(it)
         if j < best_loss:
             best_loss, best_theta, best_inter = j, state.theta.copy(), inter
+            # the amplitudes are read from these intermediates at the end
+            plan.keep()
         grads = wh_backward(model, inter, reference, residual=r, plan=plan)
         history.append((it, j, grads.norm()))
         adam_step(state, model, grads)

@@ -111,37 +111,93 @@ def fir_apply(block, x):
     return x.with_samples(kernels.fir_same(x.samples, block.taps))
 
 
-def _poly(block, y, out=None):
-    """(block output, powers of y); the output is formed in out, if given."""
-    if not block.coeffs:
+def _poly(y, orders, coeffs, out=None, p_out=None):
+    """(polynomial output, powers of y), see kernels.poly_apply; an empty
+    block copies y (into out, if given)."""
+    if not orders:
         out = np.empty_like(y) if out is None else out
         out[:] = y
         return out, None
-    return kernels.poly_apply(y, block.orders(), block.values(), out)
+    return kernels.poly_apply(y, orders, coeffs, out, p_out)
 
 
 def nl_apply(block, y):
     """Elementwise x + sum a_m x^m; memoryless."""
-    return y.with_samples(_poly(block, y.samples)[0])
+    return y.with_samples(_poly(y.samples, block.orders(),
+                                block.values())[0])
 
 
 class Plan:
-    """What every step of a fit reuses, built once per fit for one model
-    and its input x (an array): for each FIR block a frame of its input and
-    one of its output gradient (kernels.Frame), and for each polynomial
-    block the powers of its input that the last forward formed, which the
-    backward reads. x is framed here; x_in is what the forward takes as
-    the model input (the frame's samples, or x before a polynomial block).
+    """What every step of a fit reuses, built once per fit for one model,
+    its input x (an array), its coefficient layout (the keys of each
+    block's coefficients, in pack's order) and parts (one array of them
+    per block, which the steps read and the optimizer updates in place).
+
+    Every array that a step writes N samples into is aligned for vector
+    loads (kernels.aligned). For each FIR block, a frame of its input and
+    one of its output gradient (kernels.Frame); the frames of one filter
+    length share a kernels.Work. A frame's out is where the block's output
+    (or input gradient) is formed: the frame of the FIR block after
+    (before), the model output, or the input of the polynomial block after,
+    in one of two arrays (see keep). The gradient into a polynomial block
+    is left in the work's first product, which that block reads before any
+    kernel writes it again. For each polynomial block, its orders, its
+    coefficients, where its output goes and the arrays that the powers of
+    its input are formed in (poly), and the powers of the last forward
+    (powers), which the backward reads. flat is the gradient vector. x is
+    framed here; x_in is what the forward takes as the model input (the
+    frame's samples, or x before a polynomial block).
     """
 
-    def __init__(self, model, x):
-        frames = [[kernels.Frame(len(x), b.taps.size)
-                   if isinstance(b, FirBlock) else None
-                   for b in model.layers] for _ in range(2)]
+    def __init__(self, model, x, layout, parts):
+        n, layers = len(x), model.layers
+        frames = [[kernels.Frame(n, b.taps.size).align()
+                   if isinstance(b, FirBlock) else None for b in layers]
+                  for _ in range(2)]
         # the model output (inputs[-1]) is written to no frame
         self.inputs, self.grads = frames[0] + [None], frames[1]
-        self.powers = [None] * len(model.layers)
+        work = {}
+        for f in filter(None, frames[0] + frames[1]):
+            if f.k not in work:
+                work[f.k] = kernels.Work(f)
+            f.work = work[f.k]
+        self.layout, self.parts = layout, parts
+        self.poly, self._spares = [None] * len(layers), []
+        for i, (f, e, c) in enumerate(zip(frames[0], layout, parts)):
+            after = self.inputs[i + 1]
+            out = None if after is None else after.samples
+            if f is None:
+                self.poly[i] = (e, c, out, [kernels.aligned(n) for _ in
+                                            range(max(e, default=1) - 1)])
+            elif out is not None:
+                f.out = f.work.first + (out,)
+            else:
+                f.out = _own(f)
+                if i + 1 < len(layers):
+                    self._spares.append((f, _own(f)))
+        for g, before in zip(frames[1][1:], frames[1]):
+            if g is not None:
+                g.out = g.work.first + (g.work.first[1] if before is None
+                                        else before.samples,)
+        self.powers = [None] * len(layers)
+        self.flat = np.empty(sum(map(len, layout)))
         self.x_in = x if frames[0][0] is None else frames[0][0].hold(x).samples
+
+    def keep(self):
+        """Keep the polynomial inputs of the last forward (its
+        intermediates) from later steps: the next forwards form them in
+        the spare arrays."""
+        kept = []
+        for f, spare in self._spares:
+            kept.append((f, f.out))
+            f.out = spare
+        self._spares = kept
+
+
+def _own(frame):
+    """A frame's out that forms _fir's result in a product of its own."""
+    a, a_n = frame.product()
+    return a, a_n, a_n
 
 
 def run_cascade(model, y, scale=None, plan=None):
@@ -153,8 +209,9 @@ def run_cascade(model, y, scale=None, plan=None):
     consumed by the backward pass. Given scale, a function of (layer index,
     input array) giving a factor s, each nonlinear block runs on s*y and its
     output is divided by s. Given a plan, each FIR block's input is its
-    frame in the plan (the block before writes into it), and each
-    polynomial block leaves the powers of its input there.
+    frame in the plan, and each block forms its output where the plan says;
+    a polynomial block reads its coefficients from the plan's parts and
+    leaves the powers of its input there.
     """
     inputs = ([None] * (len(model.layers) + 1) if plan is None
               else plan.inputs)
@@ -167,14 +224,13 @@ def run_cascade(model, y, scale=None, plan=None):
             y = kernels.fir_same(y, block.taps)
         elif not isinstance(block, PolyNlBlock):
             raise TypeError(f"unknown block type {type(block).__name__}")
+        elif plan is not None:
+            y, plan.powers[i] = _poly(y, *plan.poly[i])
         elif scale is None:
-            after = inputs[i + 1]
-            y, p = _poly(block, y, None if after is None else after.samples)
-            if plan is not None:
-                plan.powers[i] = p
+            y = _poly(y, block.orders(), block.values())[0]
         else:
             s = scale(i, y)
-            y = _poly(block, y * s)[0] / s
+            y = _poly(y * s, block.orders(), block.values())[0] / s
     intermediates.append(y)
     return y, intermediates
 

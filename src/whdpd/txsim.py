@@ -18,6 +18,19 @@ from .model import SCHEMA_VERSION, FirBlock
 from .kernels import fir_same
 
 
+# written so that NaN fails them
+def _check_positive(spec, name):
+    if not 0 < getattr(spec, name) < np.inf:
+        raise ValueError(f"{name} must be > 0 and finite, got "
+                         f"{getattr(spec, name)!r}")
+
+
+def _check_finite(spec, name):
+    if not -np.inf < getattr(spec, name) < np.inf:
+        raise ValueError(f"{name} must be finite, got "
+                         f"{getattr(spec, name)!r}")
+
+
 @dataclass
 class SaturationSpec:
     """Memoryless odd compression. saturation_level is the output asymptote
@@ -36,8 +49,8 @@ class SaturationSpec:
     def __post_init__(self):
         if self.kind not in ("arctan", "tanh", "cubic"):
             raise ValueError(f"unknown saturation kind {self.kind!r}")
-        if self.saturation_level <= 0:
-            raise ValueError("saturation_level must be > 0")
+        _check_positive(self, "saturation_level")
+        _check_finite(self, "gain")
 
 
 @dataclass
@@ -47,8 +60,7 @@ class MzmSpec:
     v_pi: float = 1.0
 
     def __post_init__(self):
-        if self.v_pi <= 0:
-            raise ValueError("v_pi must be > 0")
+        _check_positive(self, "v_pi")
 
 
 @dataclass
@@ -67,14 +79,17 @@ class TxChannel:
     def __post_init__(self):
         if self.dac_bits is not None and not 1 <= self.dac_bits <= 16:
             raise ValueError("dac_bits must be in [1, 16]")
+        _check_positive(self, "dac_full_scale")
+        if self.noise_snr_db is not None:
+            _check_finite(self, "noise_snr_db")
 
 
 def quantize(x, bits, full_scale):
     """Uniform mid-rise quantization with hard clipping at +-full_scale."""
     if bits < 1:
         raise ValueError("bits must be >= 1")
-    if full_scale <= 0:
-        raise ValueError("full_scale must be > 0")
+    if not 0 < full_scale < np.inf:
+        raise ValueError("full_scale must be > 0 and finite")
     delta = 2.0 * full_scale / 2 ** bits
     idx = np.floor(x.samples / delta)
     idx = np.clip(idx, -(2 ** (bits - 1)), 2 ** (bits - 1) - 1)

@@ -231,6 +231,23 @@ def test_synchronize_ambiguous_raises():
         synchronize(ref, rx, min_peak=0.5)
 
 
+@pytest.mark.parametrize("where", ["capture", "reference"])
+def test_synchronize_rejects_a_nan_signal(where):
+    # a NaN makes the correlation peak NaN, which must fail the floor
+    ref = _ref_signal()
+    rx = ref.with_samples(np.roll(ref.samples, 7))
+    bad = rx if where == "capture" else ref
+    bad.samples[100] = np.nan
+    with pytest.raises(AlignmentError, match="below floor"):
+        synchronize(ref, rx)
+
+
+def test_synchronize_rejects_an_all_zero_capture():
+    ref = _ref_signal()
+    with pytest.raises(AlignmentError, match="below floor"):
+        synchronize(ref, ref.with_samples(np.zeros(ref.samples.size)))
+
+
 # --- RMS normalization ----------------------------------------------------
 
 def test_rms_normalize_halves():

@@ -407,6 +407,25 @@ def test_cli_train_exits_2_when_the_capture_cannot_be_aligned(tmp_path):
                            "ambiguous\n")
 
 
+def test_cli_sweep_exits_2_when_the_capture_cannot_be_aligned(tmp_path,
+                                                              capsys):
+    # the sweep twin of the train case: the failed points are rows of the
+    # report, and the sweep exits 2 naming how many failed and why
+    channel = channel_to_dict(paper_like_preset())["channel"]
+    channel["mzm"] = {"v_pi": 0.001}
+    cfg_path = write_config(tmp_path / "cfg.json",
+                            signal={"n_symbols": 256}, fit={"iterations": 20},
+                            sweep={"amplitudes": [0.9]}, channel=channel)
+    assert main(["sweep", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == ("error: capture could not be aligned "
+                                       "at 2 sweep point(s)\n")
+    with open(tmp_path / "o" / "report.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [row["mode"] for row in rows] == [
+        "no-dpd", "linear!error:AlignmentError", "wh!error:AlignmentError"]
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--bogus"], [], ["train", "--seed", "x"],
     ["train", "--preset", "paper-like"], ["sweep", "--preset", "paper-like"],
@@ -519,10 +538,24 @@ def test_config_counts_accept_numpy_integers():
     ("sweep", {"signal": {"samples_per_symbol": 2.5}},
      "config error: samples_per_symbol must be an integer"),
     ("sweep", {"seed": 1.5}, "config error: seed must be an integer"),
+    ("sweep", {"channel": {"mzm": {"v_pi": float("nan")}}},
+     "config error: v_pi must be > 0 and finite, got nan"),
+    ("sweep", {"channel": {"saturation": {"saturation_level": float("nan")}}},
+     "config error: saturation_level must be > 0 and finite, got nan"),
+    ("sweep", {"channel": {"saturation": {"gain": float("nan")}}},
+     "config error: gain must be finite, got nan"),
+    ("sweep", {"channel": {"dac_bits": 8, "dac_full_scale": float("nan")}},
+     "config error: dac_full_scale must be > 0 and finite, got nan"),
+    ("sweep", {"channel": {"noise_snr_db": float("nan")}},
+     "config error: noise_snr_db must be finite, got nan"),
+    ("sweep", {"channel": {"noise_snr_db": -float("inf")}},
+     "config error: noise_snr_db must be finite, got -inf"),
 ], ids=["train-k1", "sweep-k1", "train-lr_nl", "train-lr_taps-nan",
         "sweep-amplitude-nan", "train-amplitude-inf", "train-amplitude-string",
         "train-n_symbols-float", "sweep-samples_per_symbol-float",
-        "sweep-seed-float"])
+        "sweep-seed-float", "sweep-v_pi-nan", "sweep-saturation_level-nan",
+        "sweep-gain-nan", "sweep-dac_full_scale-nan",
+        "sweep-noise_snr_db-nan", "sweep-noise_snr_db-minus-inf"])
 def test_cli_rejects_bad_config_value(tmp_path, capsys, command, over,
                                       message):
     cfg_path = write_config(tmp_path / "cfg.json", **over)

@@ -310,6 +310,14 @@ def test_fir_kernels_reject_a_frame_for_other_taps():
         fir_same(frame, np.ones(3))
 
 
+@pytest.mark.parametrize("n, lead", [(1, 0), (7, 3), (100, 14), (4096, 0)])
+def test_aligned_puts_the_lead_value_on_a_64_byte_boundary(n, lead):
+    for _ in range(8):
+        a = kernels.aligned(n, lead)
+        assert a.shape == (n,) and a.dtype == np.float64
+        assert a[lead:].ctypes.data % 64 == 0
+
+
 def test_inner_is_conjugated_dot():
     rng = np.random.default_rng(5)
     a = rng.normal(size=33) + 1j * rng.normal(size=33)
@@ -403,6 +411,27 @@ def test_adam_rejects_state_and_gradient_for_other_block_sizes():
     model = WhModel.lnl(2, 4, a=0.1)
     with pytest.raises(ValueError):
         adam_step(state, model, grads)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda m: m.layers[1].coeffs.update({2: 0.0}),
+    lambda m: m.layers[1].coeffs.update({2: m.layers[1].coeffs.pop(3)}),
+    lambda m: setattr(m.layers[2], "taps", np.zeros(4)),
+    lambda m: m.layers.__setitem__(1, FirBlock([1.0])),
+    lambda m: m.layers.__setitem__(0, PolyNlBlock({2: 0.0, 3: 0.0, 4: 0.0})),
+    lambda m: m.layers.pop(),
+], ids=["order-added", "order-replaced", "taps-resized", "poly-to-fir",
+        "fir-to-poly", "block-dropped"])
+def test_adam_rejects_a_model_edited_to_another_layout(edit):
+    # the model is checked against the state's layout before any update
+    model = WhModel.lnl(3, 3, a=0.1)
+    state = AdamState(model)
+    grads = WhGradients(state.layout, np.ones(7))
+    edit(model)
+    theta = state.theta.copy()
+    with pytest.raises(ValueError, match="layout mismatch"):
+        adam_step(state, model, grads)
+    assert state.t == 0 and np.array_equal(state.theta, theta)
 
 
 def _fir_poly_fir():
@@ -664,6 +693,87 @@ def test_fit_builds_its_frames_once(monkeypatch):
     # number of steps
     assert counts == [4, 4]
     assert sorted(built) == [(256, 3), (256, 3), (256, 5), (256, 5)]
+
+
+def test_fit_derives_its_layout_and_frame_views_once(monkeypatch):
+    # the layout, each frame's row cuts and band views, and the arrays that
+    # the products are written into are made once per fit
+    made = []
+
+    def count(owner, name):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a: made.append(name)
+                            or real(*a))
+
+    for owner, name in ((learn, "_layout"), (kernels.Frame, "_cut"),
+                        (kernels.Frame, "_views"), (kernels.Frame, "product"),
+                        (kernels, "_taps_product")):
+        count(owner, name)
+    rng = np.random.default_rng(24)
+    ref = sig(rng.normal(size=256) * 0.4, 2)
+    received, _ = wh_forward(WhModel.lnl(5, 3, a=0.1), ref)
+    counts = []
+    for iterations in (10, 60):
+        made.clear()
+        fit_postestimator(received, ref, WhModel.lnl(5, 3),
+                          FitConfig(iterations=iterations, tol=1e-300))
+        counts.append(sorted(made))
+    # layouts: the state's and the final unpack's; rows: one offset per
+    # frame, two for the last block's gradient frame; bands: the two
+    # forward FIRs and the last block's input gradient; products: two per
+    # filter length, the FIR outputs and one spare
+    assert counts[0] == counts[1] == sorted(
+        ["_layout"] * 2 + ["_cut"] * 5 + ["_views"] * 3 + ["product"] * 7
+        + ["_taps_product"] * 2)
+
+
+def test_fit_steps_write_into_the_plans_arrays(monkeypatch):
+    # every step forms the model output and the gradient vector in the same
+    # arrays, and the polynomial input in one of two
+    seen = {"out": set(), "poly in": set(), "flat": set()}
+    forward, step = learn.wh_forward, learn.adam_step
+
+    def record_forward(m, x, *plan):
+        out, inter = forward(m, x, *plan)
+        seen["out"].add(id(out.samples.base))
+        seen["poly in"].add(id(inter[1].base))
+        # for vector loads that split no cache line
+        assert all(a.ctypes.data % 64 == 0 for a in (
+            out.samples, inter[1], inter[0].samples, inter[2].samples))
+        return out, inter
+
+    def record_step(state, model, grads):
+        seen["flat"].add(id(grads.flat))
+        return step(state, model, grads)
+
+    monkeypatch.setattr(learn, "wh_forward", record_forward)
+    monkeypatch.setattr(learn, "adam_step", record_step)
+    rng = np.random.default_rng(25)
+    ref = sig(rng.normal(size=256) * 0.4, 2)
+    received, _ = forward(WhModel.lnl(5, 3, a=0.1), ref)
+    art = fit_postestimator(received, ref, WhModel.lnl(5, 3),
+                            FitConfig(iterations=30, tol=1e-300))
+    assert art.iterations == 30
+    assert {k: len(v) for k, v in seen.items()} == {"out": 1, "poly in": 2,
+                                                   "flat": 1}
+
+
+def test_fit_steps_form_each_signal_in_the_frame_that_reads_it(monkeypatch):
+    # each block's output, the residual and each input gradient are formed
+    # in the frame that the next kernel reads, so no step copies into a
+    # frame; only the plan frames the capture
+    copies = []
+    real = kernels.Frame.hold
+    monkeypatch.setattr(kernels.Frame, "hold", lambda self, y: copies.append(
+        y is not self.samples) or real(self, y))
+    rng = np.random.default_rng(26)
+    ref = sig(rng.normal(size=128) * 0.4, 2)
+    model = WhModel([FirBlock.identity(5), FirBlock([0.1, 1.0, 0.1]),
+                     PolyNlBlock({3: 0.01}), FirBlock.identity(3)])
+    art = fit_postestimator(ref, ref, model,
+                            FitConfig(iterations=20, tol=1e-300))
+    assert art.iterations == 20
+    assert len(copies) == 1 + 20 * 6 and sum(copies) == 1
 
 
 def test_fit_steps_taps_that_are_views_of_theta(monkeypatch):

@@ -165,6 +165,27 @@ def test_mzm_spec_validation():
         MzmSpec(v_pi=0)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda v: SaturationSpec("arctan", v, 1.0), "saturation_level must be "
+     "> 0 and finite"),
+    (lambda v: SaturationSpec("arctan", 1.0, v), "gain must be finite"),
+    (lambda v: MzmSpec(v_pi=v), "v_pi must be > 0 and finite"),
+    (lambda v: TxChannel(dac_bits=8, dac_full_scale=v),
+     "dac_full_scale must be > 0 and finite"),
+    (lambda v: TxChannel(noise_snr_db=v), "noise_snr_db must be finite"),
+], ids=["saturation_level", "gain", "v_pi", "dac_full_scale", "noise_snr_db"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   -float("inf")])
+def test_channel_parts_reject_non_finite_values(make, message, value):
+    with pytest.raises(ValueError, match=message):
+        make(value)
+
+
+def test_channel_rejects_a_non_positive_full_scale():
+    with pytest.raises(ValueError, match="dac_full_scale must be > 0"):
+        TxChannel(dac_full_scale=0.0)
+
+
 # --- serialization --------------------------------------------------------
 
 def test_channel_dict_has_version():
