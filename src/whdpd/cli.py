@@ -152,8 +152,10 @@ def cmd_simulate(args):
         channel = _read(args.channel, channel_from_dict)
     if args.seed is not None:
         channel.seed = args.seed
-    samples = np.loadtxt(args.input)
-    out = simulate_tx(channel, SampledSignal(np.atleast_1d(samples)))
+    samples = np.atleast_1d(np.loadtxt(args.input))
+    if not np.all(np.isfinite(samples)):
+        raise ConfigError(f"{args.input}: samples must be finite")
+    out = simulate_tx(channel, SampledSignal(samples))
     np.savetxt(args.output, out.samples)
     print(f"wrote {out.samples.size} samples to {args.output}")
     return EXIT_OK

@@ -21,26 +21,20 @@ class AlignmentError(RuntimeError):
 
 @dataclass
 class SampledSignal:
-    """A real-valued sample sequence with rate metadata.
-
-    samples_per_symbol ties the waveform back to the symbol clock.
-    """
+    """A non-empty real-valued sample sequence."""
 
     samples: np.ndarray
-    samples_per_symbol: float = 1.0
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.size == 0:
             raise ValueError("SampledSignal must be non-empty")
-        if not self.samples_per_symbol > 0:
-            raise ValueError("samples_per_symbol must be > 0")
 
     def rms(self):
         return float(np.sqrt(np.mean(self.samples ** 2)))
 
     def with_samples(self, samples):
-        return SampledSignal(samples, self.samples_per_symbol)
+        return SampledSignal(samples)
 
 
 def _gray_levels(bits_per_axis):
@@ -71,20 +65,7 @@ class ConstellationSpec:
         b = self.bits_per_symbol // 2
         levels = _gray_levels(b)
         # unit average power: E|s|^2 = 2 * mean(levels^2) before scaling
-        self._scale = np.sqrt(2.0 * np.mean(levels ** 2))
-        self._levels = levels / self._scale
-
-    def mapping(self):
-        """Bit-tuple -> constellation point table (first half of bits is I)."""
-        b = self.bits_per_symbol // 2
-        table = {}
-        for w in range(self.order):
-            bits = tuple((w >> (self.bits_per_symbol - 1 - i)) & 1
-                         for i in range(self.bits_per_symbol))
-            gi = w >> b
-            gq = w & ((1 << b) - 1)
-            table[bits] = self._levels[gi] + 1j * self._levels[gq]
-        return table
+        self._levels = levels / np.sqrt(2.0 * np.mean(levels ** 2))
 
 
 def qam_modulate(bits, spec):
@@ -159,7 +140,7 @@ def shape_pulse(symbols, spec):
     up[::sps] = symbols
     c = len(taps) // 2
     shaped = np.convolve(up, taps)[c:c + up.size]
-    return SampledSignal(shaped.real, sps), SampledSignal(shaped.imag, sps)
+    return SampledSignal(shaped.real), SampledSignal(shaped.imag)
 
 
 def synchronize(reference, received, min_peak=0.1):
@@ -173,9 +154,8 @@ def synchronize(reference, received, min_peak=0.1):
     v = received.samples
     if v.size < r.size:
         raise ValueError("received shorter than reference")
-    rp = np.zeros(v.size)
-    rp[:r.size] = r
-    corr = np.fft.irfft(np.fft.rfft(v) * np.conj(np.fft.rfft(rp)), v.size)
+    corr = np.fft.irfft(np.fft.rfft(v) * np.conj(np.fft.rfft(r, v.size)),
+                        v.size)
     peak = int(np.argmax(corr))
     norm = np.sqrt(inner(r, r) * inner(v, v))
     # written so that a NaN in either signal fails it

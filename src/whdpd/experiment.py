@@ -57,10 +57,12 @@ class ExperimentConfig:
             k = getattr(self, name)
             if isinstance(k, bool) or not isinstance(k, numbers.Integral):
                 raise ValueError(f"{name} must be an integer")
-        for name in ("k1", "k2"):
+        for name in ("n_symbols", "k1", "k2"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         amps = tuple(self.amplitudes)
+        if not amps:
+            raise ValueError("amplitudes must not be empty")
         # written so that NaN fails it
         if not all(0 < a < math.inf for a in amps):
             raise ValueError("amplitudes must all be finite and > 0")
@@ -68,6 +70,8 @@ class ExperimentConfig:
             raise ValueError("amplitude grid must be strictly increasing")
         self.amplitudes = amps
         self.modes = tuple(self.modes)
+        if not self.modes:
+            raise ValueError("modes must not be empty")
         for m in self.modes:
             if m not in MODES:
                 raise ValueError(f"unknown mode {m!r}")

@@ -87,10 +87,11 @@ class Frame:
     """N samples inside a zero-filled buffer, laid out for K-tap filters.
 
     The buffer holds K-1 zeros, the samples, and zeros up to whole rows of
-    b = max(K-1, 16) samples. For a centre offset c in [0, K-1] the kernels
-    read the samples with K-1-c zeros in front, row by row, each row with
-    the K-1 samples after it, as views of the buffer (rows). Only samples
-    is ever written, so the margins stay zero. The frame keeps the rows it
+    b = max(K-1, 16) samples; the samples start on a 64-byte boundary (see
+    aligned). For a centre offset c in [0, K-1] the kernels read the
+    samples with K-1-c zeros in front, row by row, each row with the K-1
+    samples after it, as views of the buffer (rows). Only samples is ever
+    written, so the margins stay zero. The frame keeps the rows it
     has cut, and the band matrix of the last filter applied to it (band).
     out and work are None unless a fit's plan sets them: then out is
     (a, first N samples of a, dest), and _fir writes its first product
@@ -101,7 +102,8 @@ class Frame:
     def __init__(self, n, k):
         self.k, self.b = k, max(k - 1, 16)
         self.nb = -(-n // self.b)
-        self.buf = np.zeros(k - 1 + (self.nb + 1) * self.b)
+        self.buf = aligned(k - 1 + (self.nb + 1) * self.b, k - 1)
+        self.buf.fill(0.0)
         self.samples = self.buf[k - 1:k - 1 + n]
         self._cuts = {}
         self._band = None
@@ -109,15 +111,6 @@ class Frame:
 
     def __len__(self):
         return len(self.samples)
-
-    def align(self):
-        """This frame, its buffer moved so that the samples start on a
-        64-byte boundary (see aligned); called before any rows are cut."""
-        buf = aligned(self.buf.size, self.k - 1)
-        buf[:] = self.buf
-        self.buf = buf
-        self.samples = buf[self.k - 1:self.k - 1 + len(self)]
-        return self
 
     def product(self):
         """An empty aligned (nb, b) array for a product over the rows, and

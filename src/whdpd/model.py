@@ -151,7 +151,7 @@ class Plan:
 
     def __init__(self, model, x, layout, parts):
         n, layers = len(x), model.layers
-        frames = [[kernels.Frame(n, b.taps.size).align()
+        frames = [[kernels.Frame(n, b.taps.size)
                    if isinstance(b, FirBlock) else None for b in layers]
                   for _ in range(2)]
         # the model output (inputs[-1]) is written to no frame

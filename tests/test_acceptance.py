@@ -20,8 +20,8 @@ from whdpd.model import (FirBlock, PolyNlBlock, WhModel, complexity, nl_apply,
 from whdpd.txsim import SaturationSpec, TxChannel, simulate_tx
 
 
-def sig(samples, sps=2.0):
-    return SampledSignal(np.asarray(samples, dtype=float), sps)
+def sig(samples):
+    return SampledSignal(np.asarray(samples, dtype=float))
 
 
 # --- criterion 1: gradient exactness --------------------------------------

@@ -212,28 +212,38 @@ def test_cli_train_and_complexity(tmp_path, capsys):
     rc = main(["complexity", "--model", str(artifact_path)])
     assert rc == 0
     out = capsys.readouterr().out
+    assert re.match(r"trained at drive 0\.5: final loss \S+ after \d+ "
+                    r"iterations\n", out)
     assert "multiplications_per_sample: 17" in out
     assert "additions_per_sample: 13" in out
 
 
-def test_cli_sweep_writes_report(tmp_path):
+def test_cli_sweep_writes_report(tmp_path, capsys):
     cfg_path = write_config(tmp_path / "cfg.json")
     rc = main(["sweep", "--config", str(cfg_path),
                "--out", str(tmp_path / "out")])
     assert rc == 0
     lines = (tmp_path / "out" / "report.csv").read_text().splitlines()
     assert len(lines) == 4
+    out = capsys.readouterr().out.splitlines()
+    for line, mode in zip(out, ("no-dpd", "linear", "wh")):
+        assert re.fullmatch(rf"v_in=0\.5 +mode={mode} +snr=\S+ dB "
+                            r"out_rms=\S+ papr=\S+ dB", line)
+    assert out[3:] == [f"report written to {tmp_path / 'out' / 'report.csv'}"]
 
 
-def test_cli_sweep_fixed(tmp_path):
+def test_cli_sweep_fixed(tmp_path, capsys):
     cfg_path = write_config(tmp_path / "cfg.json", train_amplitude=0.5)
     assert main(["train", "--config", str(cfg_path),
                  "--out", str(tmp_path / "t")]) == 0
+    capsys.readouterr()
     rc = main(["sweep-fixed", "--config", str(cfg_path),
                "--artifact", str(tmp_path / "t" / "artifact.json"),
                "--out", str(tmp_path / "out")])
     assert rc == 0
     assert (tmp_path / "out" / "report_fixed.csv").exists()
+    assert re.fullmatch(r"v_in=0\.5 +snr=\S+ dB out_rms=\S+\n",
+                        capsys.readouterr().out)
 
 
 def write_artifact(path, amplitudes, drop=()):
@@ -272,7 +282,18 @@ def test_cli_sweep_fixed_rejects_artifact_without_amplitude(tmp_path, capsys,
             in capsys.readouterr().err)
 
 
-def test_cli_simulate_roundtrip(tmp_path):
+def test_cli_sweep_fixed_rejects_an_empty_grid(tmp_path, capsys):
+    cfg_path = write_config(tmp_path / "cfg.json", sweep={"amplitudes": []})
+    art_path = write_artifact(tmp_path / "a.json", {1: 0.5})
+    assert main(["sweep-fixed", "--config", str(cfg_path),
+                 "--artifact", str(art_path),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == ("config error: amplitudes must not be "
+                                       "empty\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_simulate_roundtrip(tmp_path, capsys):
     ch_path = tmp_path / "channel.json"
     ch_path.write_text(json.dumps(channel_to_dict(identity_channel())))
     wave = tmp_path / "in.csv"
@@ -280,6 +301,8 @@ def test_cli_simulate_roundtrip(tmp_path):
     rc = main(["simulate", "--channel", str(ch_path),
                "--input", str(wave), "--output", str(tmp_path / "out.csv")])
     assert rc == 0
+    assert (capsys.readouterr().out
+            == f"wrote 64 samples to {tmp_path / 'out.csv'}\n")
     out = np.loadtxt(tmp_path / "out.csv")
     assert np.allclose(out, np.sin(np.arange(64) * 0.3), atol=1e-9)
 
@@ -297,6 +320,19 @@ def test_cli_simulate_seed_sets_the_noise(tmp_path):
     expected = simulate_tx(paper_like_preset(seed=5), SampledSignal(x))
     assert np.array_equal(outs[1], expected.samples)
     assert not np.array_equal(outs[0], outs[1])
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_cli_simulate_rejects_non_finite_input(tmp_path, capsys, bad):
+    # the FIRs would spread one NaN over the whole output
+    wave = tmp_path / "in.csv"
+    wave.write_text(f"{bad}\n1\n2\n")
+    out_path = tmp_path / "out.csv"
+    assert main(["simulate", "--preset", "paper-like", "--input", str(wave),
+                 "--output", str(out_path)]) == 1
+    assert capsys.readouterr().err == (f"config error: {wave}: samples must "
+                                       "be finite\n")
+    assert not out_path.exists()
 
 
 @pytest.mark.parametrize("command, doc, key", [
@@ -501,6 +537,10 @@ def test_build_config_rejects_unknown_or_repeated_keys(doc):
     ({"signal": {"span_symbols": 16.0}}, "span_symbols must be an integer"),
     ({"train_amplitude": float("inf")}, "train_amplitude is inf"),
     ({"train_amplitude": "0.5"}, "train_amplitude is '0.5'"),
+    ({"sweep": {"amplitudes": []}}, "amplitudes must not be empty"),
+    ({"sweep": {"modes": []}}, "modes must not be empty"),
+    ({"signal": {"n_symbols": 0}}, "n_symbols must be >= 1"),
+    ({"signal": {"n_symbols": -5}}, "n_symbols must be >= 1"),
 ], ids=["lr_nl-negative", "lr_taps-nan", "lr_taps-inf", "tol-zero",
         "tol-nan", "iterations-zero", "k1-zero", "k2-negative",
         "iterations-float", "iterations-bool", "iterations-inf", "k1-float",
@@ -508,7 +548,8 @@ def test_build_config_rejects_unknown_or_repeated_keys(doc):
         "n_symbols-float", "samples_per_symbol-float",
         "samples_per_symbol-bool", "seed-float", "order-float",
         "span_symbols-float", "train_amplitude-inf",
-        "train_amplitude-string"])
+        "train_amplitude-string", "amplitudes-empty", "modes-empty",
+        "n_symbols-zero", "n_symbols-negative"])
 def test_build_config_rejects_bad_values(doc, message):
     with pytest.raises(ValueError, match=message):
         build_config(doc)
@@ -550,12 +591,27 @@ def test_config_counts_accept_numpy_integers():
      "config error: noise_snr_db must be finite, got nan"),
     ("sweep", {"channel": {"noise_snr_db": -float("inf")}},
      "config error: noise_snr_db must be finite, got -inf"),
+    ("train", {"sweep": {"amplitudes": []}},
+     "config error: amplitudes must not be empty"),
+    ("sweep", {"sweep": {"amplitudes": []}},
+     "config error: amplitudes must not be empty"),
+    ("train", {"sweep": {"modes": []}},
+     "config error: modes must not be empty"),
+    ("sweep", {"sweep": {"modes": []}},
+     "config error: modes must not be empty"),
+    ("train", {"signal": {"n_symbols": -5}},
+     "config error: n_symbols must be >= 1"),
+    ("sweep", {"signal": {"n_symbols": 0}},
+     "config error: n_symbols must be >= 1"),
 ], ids=["train-k1", "sweep-k1", "train-lr_nl", "train-lr_taps-nan",
         "sweep-amplitude-nan", "train-amplitude-inf", "train-amplitude-string",
         "train-n_symbols-float", "sweep-samples_per_symbol-float",
         "sweep-seed-float", "sweep-v_pi-nan", "sweep-saturation_level-nan",
         "sweep-gain-nan", "sweep-dac_full_scale-nan",
-        "sweep-noise_snr_db-nan", "sweep-noise_snr_db-minus-inf"])
+        "sweep-noise_snr_db-nan", "sweep-noise_snr_db-minus-inf",
+        "train-amplitudes-empty", "sweep-amplitudes-empty",
+        "train-modes-empty", "sweep-modes-empty", "train-n_symbols-negative",
+        "sweep-n_symbols-zero"])
 def test_cli_rejects_bad_config_value(tmp_path, capsys, command, over,
                                       message):
     cfg_path = write_config(tmp_path / "cfg.json", **over)
@@ -655,6 +711,13 @@ def test_cli_sweep_exits_2_on_divergence_and_keeps_report(tmp_path, capsys):
     lines = (tmp_path / "o" / "report.csv").read_text().splitlines()
     assert len(lines) == 4
     assert any("!error:TrainingDivergedError" in line for line in lines)
+
+
+def test_matched_rms_comparison_stops_at_the_first_match():
+    # a tolerance that the training drive already meets: no bisection step
+    res = matched_rms_comparison(tiny_cfg(channel=paper_like_preset()),
+                                 drive=0.9, rms_tol_db=100.0)
+    assert res["wh_v_in"] == 0.9
 
 
 def test_matched_rms_comparison_raises_when_unmatched():

@@ -21,8 +21,8 @@ from whdpd.model import (FirBlock, PolyNlBlock, WhModel, nl_apply,
                          wh_forward)
 
 
-def sig(samples, sps=1.0):
-    return SampledSignal(np.asarray(samples, dtype=float), sps)
+def sig(samples):
+    return SampledSignal(np.asarray(samples, dtype=float))
 
 
 def random_model(rng, n_fir_taps=(5, 3), nl_coeffs=({3: 0.1},)):
@@ -318,6 +318,20 @@ def test_aligned_puts_the_lead_value_on_a_64_byte_boundary(n, lead):
         assert a[lead:].ctypes.data % 64 == 0
 
 
+@pytest.mark.parametrize("n", [1, 7, 4096])
+@pytest.mark.parametrize("k", [1, 2, 15, 401])
+def test_a_one_off_frame_is_aligned_and_zero_filled(n, k):
+    # memory just freed, full of NaN, of the size that aligned asks for (7
+    # values over), is what malloc hands out next
+    size = kernels.Frame(n, k).buf.size
+    for _ in range(4):
+        dirty = np.full(size + 7, np.nan)
+        del dirty
+        frame = kernels.Frame(n, k)
+        assert len(frame) == n and frame.samples.ctypes.data % 64 == 0
+        assert not np.any(frame.buf)
+
+
 def test_inner_is_conjugated_dot():
     rng = np.random.default_rng(5)
     a = rng.normal(size=33) + 1j * rng.normal(size=33)
@@ -511,7 +525,7 @@ def test_monotone_descent_smoke():
 
 def test_fit_already_optimal():
     rng = np.random.default_rng(7)
-    ref = sig(rng.normal(size=256), 2)
+    ref = sig(rng.normal(size=256))
     art = fit_postestimator(ref, ref, WhModel.lnl(5, 5),
                             FitConfig(iterations=50))
     assert art.final_loss == pytest.approx(0.0, abs=1e-15)
@@ -520,7 +534,7 @@ def test_fit_already_optimal():
 
 def test_fit_inverts_known_lnl_distortion():
     rng = np.random.default_rng(8)
-    ref = sig(rng.normal(size=2048) * 0.4, 2)
+    ref = sig(rng.normal(size=2048) * 0.4)
     channel = WhModel([FirBlock([0.08, 1.0, -0.06]), PolyNlBlock.cubic(-0.08),
                        FirBlock([0.05, 1.0, 0.04])])
     received, _ = wh_forward(channel, ref)
@@ -533,7 +547,7 @@ def test_fit_inverts_known_lnl_distortion():
 
 def test_fit_linear_channel_keeps_a_near_zero():
     rng = np.random.default_rng(9)
-    ref = sig(rng.normal(size=2048) * 0.4, 2)
+    ref = sig(rng.normal(size=2048) * 0.4)
     received, _ = wh_forward(WhModel([FirBlock([0.1, 0.9, 0.15])]), ref)
     art = fit_postestimator(received, ref, WhModel.lnl(11, 11),
                             FitConfig(iterations=1200))
@@ -544,7 +558,7 @@ def test_fit_linear_channel_keeps_a_near_zero():
 
 def test_fit_freeze_nonlinear_keeps_a_zero():
     rng = np.random.default_rng(10)
-    ref = sig(rng.normal(size=512) * 0.4, 2)
+    ref = sig(rng.normal(size=512) * 0.4)
     received, _ = wh_forward(WhModel.lnl(5, 5, a=0.1), ref)
     art = fit_postestimator(received, ref, WhModel.lnl(5, 5),
                             FitConfig(iterations=100, lr_nl=0.0))
@@ -561,7 +575,7 @@ def test_fit_runs_forward_once_per_iteration(monkeypatch, tol):
     monkeypatch.setattr(learn, "wh_forward", lambda m, x, *plan:
                         calls.append(1) or real(m, x, *plan))
     rng = np.random.default_rng(12)
-    ref = sig(rng.normal(size=256) * 0.4, 2)
+    ref = sig(rng.normal(size=256) * 0.4)
     received, _ = real(WhModel.lnl(5, 5, a=0.1), ref)
     art = fit_postestimator(received, ref, WhModel.lnl(5, 5),
                             FitConfig(iterations=60, tol=tol))
@@ -576,7 +590,7 @@ def test_fit_stops_at_the_first_step_below_tol():
     # the step at which the relative loss change over TOL_WINDOW steps
     # first falls below tol, read from a fit that runs its whole budget
     rng = np.random.default_rng(12)
-    ref = sig(rng.normal(size=256) * 0.4, 2)
+    ref = sig(rng.normal(size=256) * 0.4)
     received, _ = wh_forward(WhModel.lnl(5, 5, a=0.1), ref)
     full = fit_postestimator(received, ref, WhModel.lnl(5, 5),
                              FitConfig(iterations=60, tol=1e-300))
@@ -598,7 +612,7 @@ def test_fit_copies_the_model_a_bounded_number_of_times(monkeypatch):
     monkeypatch.setattr(WhModel, "copy",
                         lambda self: copies.append(1) or real(self))
     rng = np.random.default_rng(13)
-    ref = sig(rng.normal(size=256) * 0.4, 2)
+    ref = sig(rng.normal(size=256) * 0.4)
     received, _ = wh_forward(WhModel.lnl(5, 5, a=0.1), ref)
     art = fit_postestimator(received, ref, WhModel.lnl(5, 5),
                             FitConfig(iterations=60, tol=1e-300))
@@ -680,7 +694,7 @@ def test_fit_builds_its_frames_once(monkeypatch):
     monkeypatch.setattr(kernels.Frame, "__init__",
                         lambda self, *a: built.append(a) or real(self, *a))
     rng = np.random.default_rng(21)
-    ref = sig(rng.normal(size=256) * 0.4, 2)
+    ref = sig(rng.normal(size=256) * 0.4)
     received, _ = wh_forward(WhModel.lnl(5, 3, a=0.1), ref)
     counts = []
     for iterations in (10, 60):
@@ -710,7 +724,7 @@ def test_fit_derives_its_layout_and_frame_views_once(monkeypatch):
                         (kernels, "_taps_product")):
         count(owner, name)
     rng = np.random.default_rng(24)
-    ref = sig(rng.normal(size=256) * 0.4, 2)
+    ref = sig(rng.normal(size=256) * 0.4)
     received, _ = wh_forward(WhModel.lnl(5, 3, a=0.1), ref)
     counts = []
     for iterations in (10, 60):
@@ -749,7 +763,7 @@ def test_fit_steps_write_into_the_plans_arrays(monkeypatch):
     monkeypatch.setattr(learn, "wh_forward", record_forward)
     monkeypatch.setattr(learn, "adam_step", record_step)
     rng = np.random.default_rng(25)
-    ref = sig(rng.normal(size=256) * 0.4, 2)
+    ref = sig(rng.normal(size=256) * 0.4)
     received, _ = forward(WhModel.lnl(5, 3, a=0.1), ref)
     art = fit_postestimator(received, ref, WhModel.lnl(5, 3),
                             FitConfig(iterations=30, tol=1e-300))
@@ -767,7 +781,7 @@ def test_fit_steps_form_each_signal_in_the_frame_that_reads_it(monkeypatch):
     monkeypatch.setattr(kernels.Frame, "hold", lambda self, y: copies.append(
         y is not self.samples) or real(self, y))
     rng = np.random.default_rng(26)
-    ref = sig(rng.normal(size=128) * 0.4, 2)
+    ref = sig(rng.normal(size=128) * 0.4)
     model = WhModel([FirBlock.identity(5), FirBlock([0.1, 1.0, 0.1]),
                      PolyNlBlock({3: 0.01}), FirBlock.identity(3)])
     art = fit_postestimator(ref, ref, model,
@@ -789,7 +803,7 @@ def test_fit_steps_taps_that_are_views_of_theta(monkeypatch):
 
     monkeypatch.setattr(learn, "adam_step", step)
     rng = np.random.default_rng(23)
-    ref = sig(rng.normal(size=64) * 0.4, 2)
+    ref = sig(rng.normal(size=64) * 0.4)
     art = fit_postestimator(ref, ref, WhModel.lnl(5, 3),
                             FitConfig(iterations=5))
     assert bound == [[True, True]] * art.iterations
@@ -797,7 +811,7 @@ def test_fit_steps_taps_that_are_views_of_theta(monkeypatch):
 
 def test_artifact_is_unchanged_by_a_later_fit():
     rng = np.random.default_rng(22)
-    ref = sig(rng.normal(size=128) * 0.4, 2)
+    ref = sig(rng.normal(size=128) * 0.4)
     received, _ = wh_forward(WhModel.lnl(5, 5, a=0.1), ref)
     cfg = FitConfig(iterations=30)
     first = fit_postestimator(received, ref, WhModel.lnl(5, 5), cfg)
@@ -814,7 +828,7 @@ import resource, sys
 import numpy as np
 from whdpd import FitConfig, SampledSignal, WhModel, fit_postestimator
 x = np.random.default_rng(0).normal(size=131072) * 0.3
-args = (SampledSignal(x, 2), SampledSignal(x + 0.1 * x ** 3, 2))
+args = (SampledSignal(x), SampledSignal(x + 0.1 * x ** 3))
 fit_postestimator(*args, WhModel.lnl(15, 15), FitConfig(iterations=20))
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 fit_postestimator(*args, WhModel.lnl(15, 15), FitConfig(iterations=20))
@@ -851,7 +865,7 @@ import resource, time
 import numpy as np
 from whdpd import FitConfig, SampledSignal, WhModel, fit_postestimator
 x = np.random.default_rng(0).normal(size=16384) * 0.3
-args = (SampledSignal(x, 2), SampledSignal(x + 0.1 * x ** 3, 2))
+args = (SampledSignal(x), SampledSignal(x + 0.1 * x ** 3))
 fit_postestimator(*args, WhModel.lnl(15, 15), FitConfig(iterations=20))
 time.sleep(0.5)  # lets a BLAS thread that spins after a call park first
 r, t = resource.getrusage(resource.RUSAGE_SELF), time.perf_counter()
@@ -891,8 +905,8 @@ def test_paper_point_fit_keeps_to_one_thread():
 def test_fit_capture_shorter_than_half_filter():
     # K//2 >= N: the tap gradient must still have K entries
     rng = np.random.default_rng(20)
-    ref = sig(rng.normal(size=5), 2)
-    received = sig(ref.samples + 0.1 * rng.normal(size=5), 2)
+    ref = sig(rng.normal(size=5))
+    received = sig(ref.samples + 0.1 * rng.normal(size=5))
     art = fit_postestimator(received, ref, WhModel.lnl(15, 15),
                             FitConfig(iterations=20))
     assert art.model.layers[0].taps.size == 15
@@ -910,8 +924,8 @@ def test_fit_divergence_raises_with_iteration():
 
 def test_fit_final_loss_not_above_initial():
     rng = np.random.default_rng(12)
-    ref = sig(rng.normal(size=512), 2)
-    received = sig(ref.samples + 0.1 * rng.normal(size=512), 2)
+    ref = sig(rng.normal(size=512))
+    received = sig(ref.samples + 0.1 * rng.normal(size=512))
     init = WhModel.lnl(5, 5)
     art = fit_postestimator(received, ref, init, FitConfig(iterations=200))
     out0, _ = wh_forward(init, received)
@@ -923,7 +937,7 @@ def test_fit_final_loss_not_above_initial():
 
 def test_indirect_learn_identity_channel():
     rng = np.random.default_rng(13)
-    tx = sig(rng.normal(size=1024) * 0.4, 2)
+    tx = sig(rng.normal(size=1024) * 0.4)
     art = indirect_learn(tx, lambda s: s, WhModel.lnl(7, 7),
                          FitConfig(iterations=50))
     out, _ = wh_forward(art.model, tx)
@@ -932,7 +946,7 @@ def test_indirect_learn_identity_channel():
 
 def test_indirect_learn_pure_fir_channel():
     rng = np.random.default_rng(14)
-    tx = sig(rng.normal(size=2048) * 0.4, 2)
+    tx = sig(rng.normal(size=2048) * 0.4)
     h = np.array([0.06, 0.92, 0.12, -0.04])
 
     def channel(s):
@@ -964,7 +978,7 @@ def _trained_artifact(a=0.0, amp=0.8):
 
 def test_apply_dpd_linear_artifact_matches_forward():
     rng = np.random.default_rng(15)
-    x = sig(rng.normal(size=128), 2)
+    x = sig(rng.normal(size=128))
     art = _trained_artifact(a=0.0, amp=0.5)
     out = apply_dpd(art, x)
     fwd, _ = wh_forward(art.model, x)
@@ -974,7 +988,7 @@ def test_apply_dpd_linear_artifact_matches_forward():
 
 def test_apply_dpd_at_stored_amplitude_equals_forward():
     rng = np.random.default_rng(16)
-    x = sig(rng.normal(size=128), 2)
+    x = sig(rng.normal(size=128))
     art = _trained_artifact(a=0.07, amp=float(np.max(np.abs(x.samples))))
     out = apply_dpd(art, x)
     fwd, _ = wh_forward(art.model, x)
@@ -983,7 +997,7 @@ def test_apply_dpd_at_stored_amplitude_equals_forward():
 
 def test_apply_dpd_half_amplitude_equals_rescaled_coefficient():
     rng = np.random.default_rng(17)
-    x = sig(rng.normal(size=128), 2)
+    x = sig(rng.normal(size=128))
     peak = float(np.max(np.abs(x.samples)))
     art = _trained_artifact(a=0.07, amp=2.0 * peak)  # x at half stored amp
     out = apply_dpd(art, x)
@@ -1042,7 +1056,7 @@ def test_rescale_artifact_scales_coeffs_and_amplitudes():
 
 def test_wrong_block_order_fits_worse():
     rng = np.random.default_rng(19)
-    x = sig(rng.normal(size=2048) * 0.5, 2)
+    x = sig(rng.normal(size=2048) * 0.5)
     # channel: nonlinearity first, then a non-flat filter (NL then L)
     h = np.array([0.25, 1.0, -0.3])
     y = nl_apply(PolyNlBlock.cubic(0.3), x)

@@ -14,8 +14,8 @@ from whdpd.txsim import (MzmSpec, SaturationSpec, TxChannel, channel_from_dict,
                          saturate, simulate_tx)
 
 
-def sig(samples, sps=2.0):
-    return SampledSignal(np.asarray(samples, dtype=float), sps)
+def sig(samples):
+    return SampledSignal(np.asarray(samples, dtype=float))
 
 
 # --- quantizer ------------------------------------------------------------

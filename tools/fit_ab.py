@@ -48,7 +48,7 @@ if not Path(whdpd.__file__).resolve().is_relative_to(src):
 n, k, iterations = map(int, sys.argv[2:5])
 lr_nl = float(sys.argv[5])
 x = np.random.default_rng(0).normal(size=n) * 0.3
-args = (SampledSignal(x, 2), SampledSignal(x + 0.1 * x ** 3, 2))
+args = (SampledSignal(x), SampledSignal(x + 0.1 * x ** 3))
 fit_postestimator(*args, WhModel.lnl(k, k),
                   FitConfig(iterations=20, lr_nl=lr_nl))
 t = time.perf_counter()
