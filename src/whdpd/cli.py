@@ -11,6 +11,7 @@ import json
 import math
 import numbers
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -152,7 +153,16 @@ def cmd_simulate(args):
         channel = _read(args.channel, channel_from_dict)
     if args.seed is not None:
         channel.seed = args.seed
-    samples = np.atleast_1d(np.loadtxt(args.input))
+    with warnings.catch_warnings():
+        # numpy warns of an empty file, which is rejected below
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            samples = np.loadtxt(args.input, ndmin=2)
+        except ValueError as exc:
+            raise ConfigError(f"{args.input}: {exc}") from exc
+    if samples.shape[1] != 1 or samples.size == 0:
+        raise ConfigError(f"{args.input}: needs one sample per line")
+    samples = samples.ravel()
     if not np.all(np.isfinite(samples)):
         raise ConfigError(f"{args.input}: samples must be finite")
     out = simulate_tx(channel, SampledSignal(samples))

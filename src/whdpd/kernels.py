@@ -25,10 +25,10 @@ frame of that same layout used for the one call, and returns new arrays.
 A fit builds one frame per FIR block's input and one per its output
 gradient, once (model.Plan): the capture is framed once, and a frame
 keeps its cut rows and its band matrix's buffer and views from step to
-step. A fit's frame also has an out, the array that the forward product
-(or input gradient) of a kernel on it is summed into, and shares a Work
-of the buffers that the GEMM products are written into with the other
-frames of its shape.
+step. A fit's frame that a kernel forms a result on also owns an out,
+the product that the kernel forms its forward output (or input gradient)
+in, and shares a Work of the buffers that the other GEMM products are
+written into with the other frames of its shape.
 
 Threads: OpenBLAS splits a dot product longer than 10 000 samples, or a
 GEMM above 2^18 multiply-adds, over its threads, and its idle threads spin
@@ -93,10 +93,10 @@ class Frame:
     samples after it, as views of the buffer (rows). Only samples is ever
     written, so the margins stay zero. The frame keeps the rows it
     has cut, and the band matrix of the last filter applied to it (band).
-    out and work are None unless a fit's plan sets them: then out is
-    (a, first N samples of a, dest), and _fir writes its first product
-    into a (see product) and sums it with the second, in work (a Work),
-    into dest.
+    out and work are None unless a fit's plan sets them: then out is a
+    product of the frame's own (see product), and _fir writes its first
+    product into it and adds the second, in work (a Work), to its first N
+    samples, which it returns.
     """
 
     def __init__(self, n, k):
@@ -161,12 +161,12 @@ class Frame:
 
 class Work:
     """The buffers that the FIR kernels' GEMM products on frames of one
-    shape are written into, shared by a fit's frames of that shape: a
-    first and a second product of _fir (see Frame.product) and
-    fir_grad_taps' product (see _taps_product)."""
+    shape are written into, shared by a fit's frames of that shape: _fir's
+    second product (see Frame.product) and fir_grad_taps' product (see
+    _taps_product)."""
 
     def __init__(self, frame):
-        self.first, self.second = frame.product(), frame.product()
+        self.second = frame.product()
         self.taps = _taps_product(frame.b, frame.k)
 
 
@@ -182,7 +182,7 @@ def _frame(x, k):
 
 def _fir(x, h, c):
     """y[n] = sum_k h[k] * x[n + c - k] for n in [0, N), x zero outside
-    [0, N), for any N >= 1, K >= 1 and 0 <= c <= K-1; summed into the
+    [0, N), for any N >= 1, K >= 1 and 0 <= c <= K-1; formed in the
     frame's out if it has one."""
     f = _frame(x, len(h))
     rows, tails = f.rows(c)
@@ -192,11 +192,11 @@ def _fir(x, h, c):
         y = rows @ top
         y += tails @ bottom
         return y.ravel()[:len(f)]
-    first, first_n, dest = f.out
+    a, a_n = f.out
     second, second_n = f.work.second
-    np.matmul(rows, top, out=first)
+    np.matmul(rows, top, out=a)
     np.matmul(tails, bottom, out=second)
-    return np.add(first_n, second_n, out=dest)
+    return np.add(a_n, second_n, out=a_n)
 
 
 def fir_same(x, h):

@@ -288,9 +288,16 @@ def artifact_from_dict(doc):
     if not isinstance(amps, dict):
         raise TypeError("nl_input_amplitudes must be a block -> amplitude "
                         f"mapping, not {type(amps).__name__}")
+    model = model_from_dict(doc)
+    amps = {int(k): float(v) for k, v in amps.items()}
+    stray = sorted(set(amps) - {i for i, b in enumerate(model.layers)
+                                if isinstance(b, PolyNlBlock)})
+    if stray:
+        raise ValueError(f"nl_input_amplitudes names blocks {stray}, which "
+                         "are not polynomial blocks")
     return DpdArtifact(
-        model=model_from_dict(doc),
-        nl_input_amplitudes={int(k): float(v) for k, v in amps.items()},
+        model=model,
+        nl_input_amplitudes=amps,
         final_loss=float(doc["final_loss"]),
         iterations=int(doc["iterations"]))
 
@@ -309,9 +316,10 @@ def fit_postestimator(received, reference, init, cfg):
     received must already be synchronized and RMS-matched to reference.
     Stops at the iteration budget or when the relative loss change over
     TOL_WINDOW iterations drops below cfg.tol. Returns the best model
-    seen (so the final loss never exceeds the initial one). What the steps
-    reuse (the layout, frames of the FIR blocks' inputs and gradients and
-    the buffers that each step's arrays are formed in, see model.Plan) is
+    seen (so the final loss never exceeds the initial one), with the
+    amplitudes of a forward of that model. What the steps reuse (the
+    layout, frames of the FIR blocks' inputs and gradients and the
+    buffers that each step's arrays are formed in, see model.Plan) is
     built once per fit.
     """
     model = init.copy()
@@ -325,7 +333,7 @@ def fit_postestimator(received, reference, init, cfg):
     x = received.with_samples(plan.x_in)
     n = x.samples.size
     history = []
-    best_loss, best_theta, best_inter = np.inf, None, None
+    best_loss, best_theta = np.inf, None
     for it in range(cfg.iterations):
         out, inter = wh_forward(model, x, plan)
         r = _residual(out, reference, plan.grads[-1])
@@ -333,9 +341,7 @@ def fit_postestimator(received, reference, init, cfg):
         if not math.isfinite(j):
             raise TrainingDivergedError(it)
         if j < best_loss:
-            best_loss, best_theta, best_inter = j, state.theta.copy(), inter
-            # the amplitudes are read from these intermediates at the end
-            plan.keep()
+            best_loss, best_theta, best_it = j, state.theta.copy(), it
         grads = wh_backward(model, inter, reference, residual=r, plan=plan)
         history.append((it, j, grads.norm()))
         adam_step(state, model, grads)
@@ -343,10 +349,15 @@ def fit_postestimator(received, reference, init, cfg):
             prev = history[-1 - TOL_WINDOW][1]
             if prev > 0 and abs(j - prev) / prev < cfg.tol:
                 break
-    best_model = unpack(best_theta, model)
-    return DpdArtifact(model=best_model,
-                       nl_input_amplitudes=_nl_input_amplitudes(best_model,
-                                                                best_inter),
+    state.theta[:] = best_theta
+    _unpack(state.parts, model, state.layout)
+    if best_it < it:
+        # the last forward, whose polynomial inputs give the stored
+        # amplitudes, ran on another model: run one on the best, by
+        # run_cascade, as wh_forward runs once per fit step
+        _, inter = run_cascade(model, plan.x_in, plan=plan)
+    return DpdArtifact(model=model,
+                       nl_input_amplitudes=_nl_input_amplitudes(model, inter),
                        final_loss=best_loss,
                        iterations=len(history),
                        history=history)
@@ -376,9 +387,11 @@ def apply_dpd(artifact, x):
 
     def scale(i, y):
         amp = amps.get(i, 0.0)
-        if amp <= 0:
+        # written so that NaN fails it
+        if not 0 < amp < math.inf:
             raise ValueError("artifact has no positive stored amplitude "
-                             f"for nonlinear block {i}")
+                             f"for nonlinear block {i} (it must be finite "
+                             "and > 0)")
         peak = float(np.max(np.abs(y)))
         if peak == 0:
             raise ValueError(f"signal entering nonlinear block {i} is all "

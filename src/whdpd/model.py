@@ -135,15 +135,13 @@ class Plan:
 
     Every array that a step writes N samples into is aligned for vector
     loads (kernels.aligned). For each FIR block, a frame of its input and
-    one of its output gradient (kernels.Frame); the frames of one filter
-    length share a kernels.Work. A frame's out is where the block's output
-    (or input gradient) is formed: the frame of the FIR block after
-    (before), the model output, or the input of the polynomial block after,
-    in one of two arrays (see keep). The gradient into a polynomial block
-    is left in the work's first product, which that block reads before any
-    kernel writes it again. For each polynomial block, its orders, its
-    coefficients, where its output goes and the arrays that the powers of
-    its input are formed in (poly), and the powers of the last forward
+    one of its output gradient (kernels.Frame); each but the first block's
+    gradient frame has a product of its own that the block's output (or
+    input gradient) is formed in, and a kernels.Work that it shares with
+    the frames of its filter length. For each polynomial block, its
+    orders, its coefficients, where its output goes (the frame of the FIR
+    block after, if there is one) and the arrays that the powers of its
+    input are formed in (poly), and the powers of the last forward
     (powers), which the backward reads. flat is the gradient vector. x is
     framed here; x_in is what the forward takes as the model input (the
     frame's samples, or x before a polynomial block).
@@ -157,47 +155,23 @@ class Plan:
         # the model output (inputs[-1]) is written to no frame
         self.inputs, self.grads = frames[0] + [None], frames[1]
         work = {}
-        for f in filter(None, frames[0] + frames[1]):
+        # the backward forms no gradient into the model input, so no kernel
+        # forms a result on the first block's gradient frame
+        for f in filter(None, frames[0] + frames[1][1:]):
             if f.k not in work:
                 work[f.k] = kernels.Work(f)
-            f.work = work[f.k]
+            f.work, f.out = work[f.k], f.product()
         self.layout, self.parts = layout, parts
-        self.poly, self._spares = [None] * len(layers), []
+        self.poly = [None] * len(layers)
         for i, (f, e, c) in enumerate(zip(frames[0], layout, parts)):
-            after = self.inputs[i + 1]
-            out = None if after is None else after.samples
             if f is None:
-                self.poly[i] = (e, c, out, [kernels.aligned(n) for _ in
-                                            range(max(e, default=1) - 1)])
-            elif out is not None:
-                f.out = f.work.first + (out,)
-            else:
-                f.out = _own(f)
-                if i + 1 < len(layers):
-                    self._spares.append((f, _own(f)))
-        for g, before in zip(frames[1][1:], frames[1]):
-            if g is not None:
-                g.out = g.work.first + (g.work.first[1] if before is None
-                                        else before.samples,)
+                after = self.inputs[i + 1]
+                self.poly[i] = (e, c, None if after is None else after.samples,
+                                [kernels.aligned(n) for _ in
+                                 range(max(e, default=1) - 1)])
         self.powers = [None] * len(layers)
         self.flat = np.empty(sum(map(len, layout)))
         self.x_in = x if frames[0][0] is None else frames[0][0].hold(x).samples
-
-    def keep(self):
-        """Keep the polynomial inputs of the last forward (its
-        intermediates) from later steps: the next forwards form them in
-        the spare arrays."""
-        kept = []
-        for f, spare in self._spares:
-            kept.append((f, f.out))
-            f.out = spare
-        self._spares = kept
-
-
-def _own(frame):
-    """A frame's out that forms _fir's result in a product of its own."""
-    a, a_n = frame.product()
-    return a, a_n, a_n
 
 
 def run_cascade(model, y, scale=None, plan=None):
@@ -209,9 +183,10 @@ def run_cascade(model, y, scale=None, plan=None):
     consumed by the backward pass. Given scale, a function of (layer index,
     input array) giving a factor s, each nonlinear block runs on s*y and its
     output is divided by s. Given a plan, each FIR block's input is its
-    frame in the plan, and each block forms its output where the plan says;
-    a polynomial block reads its coefficients from the plan's parts and
-    leaves the powers of its input there.
+    frame in the plan, whose product the block forms its output in; a
+    polynomial block reads its coefficients from the plan's parts, forms
+    its output where the plan says and leaves the powers of its input
+    there.
     """
     inputs = ([None] * (len(model.layers) + 1) if plan is None
               else plan.inputs)

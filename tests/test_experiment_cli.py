@@ -1,10 +1,12 @@
 import csv
 import json
+import math
 import os
 import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -282,6 +284,38 @@ def test_cli_sweep_fixed_rejects_artifact_without_amplitude(tmp_path, capsys,
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("amp", [math.nan, math.inf], ids=["nan", "inf"])
+def test_cli_sweep_fixed_rejects_a_non_finite_amplitude(tmp_path, capsys,
+                                                        amp):
+    # a NaN amplitude spread NaN over the pre-distorted signal, which then
+    # failed to align
+    cfg_path = write_config(tmp_path / "cfg.json")
+    art_path = write_artifact(tmp_path / "a.json", {1: amp})
+    assert main(["sweep-fixed", "--config", str(cfg_path),
+                 "--artifact", str(art_path),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "config error: artifact has no positive stored amplitude for "
+        "nonlinear block 1 (it must be finite and > 0)\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("amps, stray", [({1: 0.5, 7: 0.3}, [7]),
+                                         ({0: 0.2, 1: 0.5, 2: 0.3}, [0, 2])],
+                         ids=["past-the-model", "fir-blocks"])
+def test_cli_sweep_fixed_rejects_an_amplitude_of_no_polynomial_block(
+        tmp_path, capsys, amps, stray):
+    cfg_path = write_config(tmp_path / "cfg.json")
+    art_path = write_artifact(tmp_path / "a.json", amps)
+    assert main(["sweep-fixed", "--config", str(cfg_path),
+                 "--artifact", str(art_path),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: {art_path}: nl_input_amplitudes names blocks "
+        f"{stray}, which are not polynomial blocks\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_sweep_fixed_rejects_an_empty_grid(tmp_path, capsys):
     cfg_path = write_config(tmp_path / "cfg.json", sweep={"amplitudes": []})
     art_path = write_artifact(tmp_path / "a.json", {1: 0.5})
@@ -332,6 +366,26 @@ def test_cli_simulate_rejects_non_finite_input(tmp_path, capsys, bad):
                  "--output", str(out_path)]) == 1
     assert capsys.readouterr().err == (f"config error: {wave}: samples must "
                                        "be finite\n")
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1 2\n3 4\n5 6\n", "needs one sample per line"),
+    ("1 2\n", "needs one sample per line"),
+    ("", "needs one sample per line"),
+    ("a\n", "could not convert string 'a' to float64 at row 0, column 1."),
+], ids=["two-columns", "one-row-of-two", "empty", "not-a-number"])
+def test_cli_simulate_rejects_other_than_one_sample_per_line(
+        tmp_path, capsys, text, message):
+    wave = tmp_path / "in.csv"
+    wave.write_text(text)
+    out_path = tmp_path / "out.csv"
+    # numpy's warning of an empty file is not passed on
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--preset", "paper-like",
+                     "--input", str(wave), "--output", str(out_path)]) == 1
+    assert capsys.readouterr().err == f"config error: {wave}: {message}\n"
     assert not out_path.exists()
 
 

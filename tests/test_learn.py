@@ -569,7 +569,8 @@ def test_fit_freeze_nonlinear_keeps_a_zero():
 
 @pytest.mark.parametrize("tol", [1e-9, 1e-2])
 def test_fit_runs_forward_once_per_iteration(monkeypatch, tol):
-    # the best iteration's loss and intermediates are kept, not recomputed
+    # wh_forward runs once per fit step: the best loss is kept, and the
+    # stored amplitudes come from one more forward, through run_cascade
     calls = []
     real = learn.wh_forward
     monkeypatch.setattr(learn, "wh_forward", lambda m, x, *plan:
@@ -582,6 +583,23 @@ def test_fit_runs_forward_once_per_iteration(monkeypatch, tol):
     assert len(calls) == art.iterations
     assert art.final_loss == min(j for _, j, _ in art.history)
     out, inter = real(art.model, received)
+    assert art.final_loss == loss(out, ref) / ref.samples.size
+    assert art.nl_input_amplitudes == {1: float(np.max(np.abs(inter[1])))}
+
+
+def test_fit_stores_the_amplitudes_of_its_best_step_not_its_last():
+    # with large rates the loss rises again after a minimum, so the best
+    # step is neither the first nor the last: the returned model is the
+    # best step's, and so is the peak of the polynomial input it stores
+    rng = np.random.default_rng(27)
+    ref = sig(rng.normal(size=256) * 0.4)
+    received, _ = wh_forward(WhModel.lnl(5, 5, a=0.1), ref)
+    art = fit_postestimator(received, ref, WhModel.lnl(5, 5),
+                            FitConfig(iterations=30, lr_taps=0.05,
+                                      lr_nl=0.01, tol=1e-300))
+    losses = [j for _, j, _ in art.history]
+    assert 0 < losses.index(art.final_loss) < len(losses) - 1
+    out, inter = wh_forward(art.model, received)
     assert art.final_loss == loss(out, ref) / ref.samples.size
     assert art.nl_input_amplitudes == {1: float(np.max(np.abs(inter[1])))}
 
@@ -732,18 +750,18 @@ def test_fit_derives_its_layout_and_frame_views_once(monkeypatch):
         fit_postestimator(received, ref, WhModel.lnl(5, 3),
                           FitConfig(iterations=iterations, tol=1e-300))
         counts.append(sorted(made))
-    # layouts: the state's and the final unpack's; rows: one offset per
-    # frame, two for the last block's gradient frame; bands: the two
-    # forward FIRs and the last block's input gradient; products: two per
-    # filter length, the FIR outputs and one spare
+    # layouts: the state's; rows: one offset per frame, two for the last
+    # block's gradient frame; bands: the two forward FIRs and the last
+    # block's input gradient; products: one per filter length and one per
+    # frame but the first block's gradient frame
     assert counts[0] == counts[1] == sorted(
-        ["_layout"] * 2 + ["_cut"] * 5 + ["_views"] * 3 + ["product"] * 7
+        ["_layout"] + ["_cut"] * 5 + ["_views"] * 3 + ["product"] * 5
         + ["_taps_product"] * 2)
 
 
 def test_fit_steps_write_into_the_plans_arrays(monkeypatch):
-    # every step forms the model output and the gradient vector in the same
-    # arrays, and the polynomial input in one of two
+    # every step forms the model output, the polynomial input and the
+    # gradient vector in the same arrays
     seen = {"out": set(), "poly in": set(), "flat": set()}
     forward, step = learn.wh_forward, learn.adam_step
 
@@ -768,26 +786,36 @@ def test_fit_steps_write_into_the_plans_arrays(monkeypatch):
     art = fit_postestimator(received, ref, WhModel.lnl(5, 3),
                             FitConfig(iterations=30, tol=1e-300))
     assert art.iterations == 30
-    assert {k: len(v) for k, v in seen.items()} == {"out": 1, "poly in": 2,
+    assert {k: len(v) for k, v in seen.items()} == {"out": 1, "poly in": 1,
                                                    "flat": 1}
 
 
 def test_fit_steps_form_each_signal_in_the_frame_that_reads_it(monkeypatch):
-    # each block's output, the residual and each input gradient are formed
-    # in the frame that the next kernel reads, so no step copies into a
-    # frame; only the plan frames the capture
+    # each polynomial block's output, the residual and each slope are
+    # formed in the frame that the next kernel reads, so an LNL fit copies
+    # only the capture into a frame; an FIR block forms its output and its
+    # input gradient in a product of its own, which a pass copies into the
+    # frame of an adjacent FIR block
     copies = []
     real = kernels.Frame.hold
     monkeypatch.setattr(kernels.Frame, "hold", lambda self, y: copies.append(
         y is not self.samples) or real(self, y))
     rng = np.random.default_rng(26)
     ref = sig(rng.normal(size=128) * 0.4)
-    model = WhModel([FirBlock.identity(5), FirBlock([0.1, 1.0, 0.1]),
-                     PolyNlBlock({3: 0.01}), FirBlock.identity(3)])
-    art = fit_postestimator(ref, ref, model,
-                            FitConfig(iterations=20, tol=1e-300))
-    assert art.iterations == 20
-    assert len(copies) == 1 + 20 * 6 and sum(copies) == 1
+    lnl = [FirBlock.identity(5), PolyNlBlock({3: 0.01}), FirBlock.identity(3)]
+    for layers, adjacent in ((lnl, 0),
+                             ([lnl[0], FirBlock([0.1, 1.0, 0.1])] + lnl[1:],
+                              1)):
+        copies.clear()
+        art = fit_postestimator(ref, ref, WhModel(layers),
+                                FitConfig(iterations=20, tol=1e-300))
+        # the last step is the best, so its forward gives the amplitudes
+        assert art.iterations == 20 and art.final_loss == art.history[-1][1]
+        # the capture; then a forward and a backward pass per step, each
+        # holding every FIR block's frame once
+        passes, firs = 2 * 20, len(layers) - 1
+        assert len(copies) == 1 + passes * firs
+        assert sum(copies) == 1 + passes * adjacent
 
 
 def test_fit_steps_taps_that_are_views_of_theta(monkeypatch):
