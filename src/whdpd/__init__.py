@@ -5,9 +5,9 @@ from .dsp import (AlignmentError, ConstellationSpec, RrcSpec, SampledSignal,
                   snr_db, synchronize)
 from .kernels import backend
 from .learn import (AdamState, DpdArtifact, FitConfig, TrainingDivergedError,
-                    WhGradients, adam_step, apply_dpd, fit_postestimator,
-                    indirect_learn, loss, rescale_artifact, rescale_nl_coeff,
-                    wh_backward)
+                    WhGradients, adam_step, apply_dpd, fit_linear,
+                    fit_postestimator, indirect_learn, loss, rescale_artifact,
+                    rescale_nl_coeff, wh_backward)
 from .model import (ComplexityReport, FirBlock, PolyNlBlock, WhModel,
                     complexity, fir_apply, nl_apply, wh_forward)
 from .txsim import (MzmSpec, SaturationSpec, TxChannel, paper_like_preset,

@@ -186,7 +186,8 @@ def make_parser():
     common(sp)
     sp.add_argument("--out", default="out")
     sp.add_argument("--linear-only", action="store_true",
-                    help="freeze the nonlinear coefficients at zero")
+                    help="fit linear-only DPD: one least-squares FIR of "
+                    "K1 + K2 - 1 taps")
     sp.set_defaults(func=cmd_train)
 
     sp = sub.add_parser("sweep", help="amplitude sweep over all DPD modes")

@@ -24,8 +24,8 @@ import numpy as np
 
 from .dsp import (ConstellationSpec, RrcSpec, papr_db, qam_modulate,
                   shape_pulse, snr_db, synchronize)
-from .learn import (FitConfig, apply_dpd, artifact_to_dict, indirect_learn,
-                    rescale_artifact)
+from .learn import (FitConfig, apply_dpd, artifact_to_dict, capture,
+                    fit_linear, indirect_learn, rescale_artifact)
 from .model import SCHEMA_VERSION, WhModel, complexity
 from .txsim import TxChannel, paper_like_preset, simulate_tx
 
@@ -127,13 +127,18 @@ class Workbench:
         return lambda sig: simulate_tx(ch, sig)
 
     def train(self, v_in, freeze_nonlinear=False):
-        """Indirect learning at drive v_in on the I rail."""
+        """Indirect learning at drive v_in on the I rail: the WH cascade,
+        or with freeze_nonlinear linear-only DPD, the cascade with its
+        cubic held at 0, which is one FIR of K1 + K2 - 1 taps and is
+        solved for directly (learn.fit_linear)."""
         cfg = self.cfg
-        fit = replace(cfg.fit, lr_nl=0.0) if freeze_nonlinear else cfg.fit
         drive = self.i_rail.with_samples(
             scale_to_peak(self.i_rail.samples, v_in))
-        init = WhModel.lnl(cfg.k1, cfg.k2)
-        return indirect_learn(drive, self._channel_fn(), init, fit)
+        if freeze_nonlinear:
+            return fit_linear(capture(drive, self._channel_fn()), drive,
+                              cfg.k1 + cfg.k2 - 1)
+        return indirect_learn(drive, self._channel_fn(),
+                              WhModel.lnl(cfg.k1, cfg.k2), cfg.fit)
 
     def evaluate(self, artifact, v_in):
         """Apply an optional DPD artifact, drive the channel at peak v_in,

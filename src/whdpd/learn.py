@@ -46,8 +46,6 @@ def _split(flat, layout):
     for e in layout:
         parts.append(flat[end:end + len(e)])
         end += len(e)
-    if flat.shape != (end,):
-        raise ValueError("coefficient vector/model size mismatch")
     return parts
 
 
@@ -78,14 +76,6 @@ def pack(model):
     taps as stored, polynomial coefficients by ascending order."""
     return np.concatenate([b.taps if isinstance(b, FirBlock) else b.values()
                            for b in model.layers])
-
-
-def unpack(theta, model):
-    """Write theta back into the model's blocks in place (the inverse of
-    pack); returns the model."""
-    layout = _layout(model)
-    return _unpack(_split(np.asarray(theta, dtype=np.float64), layout),
-                   model, layout)
 
 
 def _unpack(parts, model, layout):
@@ -363,14 +353,99 @@ def fit_postestimator(received, reference, init, cfg):
                        history=history)
 
 
+# the largest condition number of a Gram matrix that fit_linear solves:
+# its relative error in the taps is up to about this times 2.2e-16
+MAX_GRAM_COND = 1e12
+
+
+def gram(x, k):
+    """X^T X for the N x K matrix X[n, j] = x[n + K//2 - j] (x zero outside
+    [0, N)) that fir_same(x, h) multiplies h by.
+
+    One correlation gives the first column, G[i, 0] = sum_n x[n+c-i] x[n+c]
+    with c = K//2, and each later entry follows from its upper-left
+    neighbour, G[i+1, j+1] = G[i, j] + a_i a_j - b_i b_j with a_i =
+    x[c-1-i] and b_i = x[N+c-1-i]: the sums of the two differ by the sample
+    that enters at one end and the one that leaves at the other (the
+    covariance method of linear prediction). O(NK + K^2), and no N x K
+    matrix is formed; G is exactly symmetric.
+    """
+    n, c = len(x), k // 2
+    g = np.empty((k, k))
+    # fir_same with the unit filter e_0 is x advanced by c
+    g[:, 0] = kernels.fir_grad_taps(kernels.fir_same(x, np.eye(1, k)[0]),
+                                    x, k)
+    g[0] = g[:, 0]
+    padded = np.concatenate([np.zeros(k), x, np.zeros(k)])
+    at = k + c - 1 - np.arange(k - 1)
+    a, b = padded[at], padded[at + n]
+    step = np.outer(a, a) - np.outer(b, b)
+    for i in range(k - 1):
+        np.add(g[i, :-1], step[i], out=g[i + 1, 1:])
+    return g
+
+
+def _loss_and_grad_norm(model, x, reference):
+    """The normalized loss of model on input signal x, and the norm of its
+    gradient."""
+    out, inter = wh_forward(model, x)
+    r = _residual(out, reference)
+    grads = wh_backward(model, inter, reference, residual=r)
+    return _energy(r) / len(r), grads.norm()
+
+
+def fit_linear(received, reference, k):
+    """Linear-only post-estimator: the K-tap same-length FIR h that
+    minimizes 0.5*||fir_same(x, h) - ref||^2 / N, solved from the normal
+    equations G h = X^T ref (the least-squares, or Wiener, equalizer; see
+    gram).
+
+    received must already be synchronized and RMS-matched to reference.
+    Raises ValueError on a sample that is not finite, and when G is
+    singular or too ill-conditioned to solve (MAX_GRAM_COND): N < K, or a
+    capture with no energy in some band. The artifact's history holds the
+    unit-centre-tap filter's loss and gradient norm at iteration 0, and the
+    solution's at 1; the artifact is the better of the two, so its loss
+    never exceeds the first.
+    """
+    x, ref = received.samples, _as_array(reference)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(ref))):
+        raise ValueError("linear DPD needs a finite capture and reference")
+    start = WhModel([FirBlock.identity(k)])
+    history = [(0, *_loss_and_grad_norm(start, received, reference))]
+    g = gram(x, k)
+    w = np.linalg.eigvalsh(g)
+    cond = w[-1] / w[0] if w[0] > 0 else math.inf
+    if cond >= MAX_GRAM_COND:
+        raise ValueError(
+            f"cannot fit a {k}-tap linear DPD to {len(x)} captured samples: "
+            f"the capture's Gram matrix (N = {len(x)}, K = {k}) has "
+            f"condition number {cond:.3g}, above {MAX_GRAM_COND:.0e}; "
+            "it needs N >= K and energy across the band")
+    solved = WhModel([FirBlock(np.linalg.solve(
+        g, kernels.fir_grad_taps(ref, x, k)))])
+    history.append((1, *_loss_and_grad_norm(solved, received, reference)))
+    # when the start is already optimal (an identity channel), rounding can
+    # leave the solution's loss a hair above it
+    j0, j1 = history[0][1], history[1][1]
+    return DpdArtifact(model=solved if j1 <= j0 else start,
+                       nl_input_amplitudes={}, final_loss=min(j0, j1),
+                       iterations=1, history=history)
+
+
+def capture(tx_signal, channel):
+    """The channel's response to tx_signal, synchronized to it and
+    RMS-matched: what indirect learning fits a post-estimator to."""
+    _, aligned = synchronize(tx_signal, channel(tx_signal))
+    return rms_normalize(aligned, tx_signal.rms())
+
+
 def indirect_learn(tx_signal, channel, init, cfg):
     """One-shot indirect learning: pass the non-DPD signal through the
     channel, synchronize and RMS-match the capture, fit the post-estimator,
     and return it as the pre-distorter artifact."""
-    rx = channel(tx_signal)
-    _, aligned = synchronize(tx_signal, rx)
-    normalized = rms_normalize(aligned, tx_signal.rms())
-    return fit_postestimator(normalized, tx_signal, init, cfg)
+    return fit_postestimator(capture(tx_signal, channel), tx_signal, init,
+                             cfg)
 
 
 def apply_dpd(artifact, x):

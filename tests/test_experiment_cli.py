@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import whdpd
-from whdpd import experiment
+from whdpd import experiment, learn
 from whdpd.cli import ConfigError, build_config, main, make_parser
 from whdpd.dsp import SampledSignal
 from whdpd.experiment import (ExperimentConfig, Workbench,
@@ -82,10 +82,29 @@ def test_report_complexity_matches_formula():
     cfg = tiny_cfg()
     report = run_experiment(cfg)
     for row in report.rows:
-        if row["mode"] in ("linear", "wh"):
+        if row["mode"] == "wh":
             # two K-tap FIRs plus the cubic term
             assert row["mults_per_sample"] == cfg.k1 + cfg.k2 + 3
             assert row["adds_per_sample"] == cfg.k1 + cfg.k2 - 1
+        elif row["mode"] == "linear":
+            # one FIR of K1 + K2 - 1 taps
+            assert row["mults_per_sample"] == cfg.k1 + cfg.k2 - 1
+            assert row["adds_per_sample"] == cfg.k1 + cfg.k2 - 2
+
+
+def test_linear_mode_solves_one_fir_on_the_wh_fits_capture():
+    cfg = tiny_cfg()
+    bench = Workbench(cfg)
+    art = bench.train(0.5, freeze_nonlinear=True)
+    (block,) = art.model.layers
+    assert block.taps.size == cfg.k1 + cfg.k2 - 1
+    assert art.nl_input_amplitudes == {}
+    assert art.iterations == 1 and len(art.history) == 2
+    drive = bench.i_rail.with_samples(
+        scale_to_peak(bench.i_rail.samples, 0.5))
+    received = learn.capture(drive, bench._channel_fn())
+    again = learn.fit_linear(received, drive, cfg.k1 + cfg.k2 - 1)
+    assert np.array_equal(again.model.layers[0].taps, block.taps)
 
 
 def test_report_csv_format(tmp_path):
@@ -760,11 +779,18 @@ def test_cli_sweep_exits_2_on_divergence_and_keeps_report(tmp_path, capsys):
         rc = main(["sweep", "--config", str(cfg_path),
                    "--out", str(tmp_path / "o")])
     assert rc == 2
-    assert capsys.readouterr().err == ("error: training diverged at 2 sweep "
+    # the learning rates reach the WH fit only: linear-only DPD is solved
+    assert capsys.readouterr().err == ("error: training diverged at 1 sweep "
                                        "point(s)\n")
-    lines = (tmp_path / "o" / "report.csv").read_text().splitlines()
-    assert len(lines) == 4
-    assert any("!error:TrainingDivergedError" in line for line in lines)
+    with open(tmp_path / "o" / "report.csv", newline="") as f:
+        rows = {r["mode"]: r for r in csv.DictReader(f)}
+    assert len(rows) == 3
+    assert "wh!error:TrainingDivergedError" in rows
+    linear = rows["linear"]
+    assert linear["error"] == ""
+    assert math.isfinite(float(linear["snr_db"]))
+    assert math.isfinite(float(linear["final_loss"]))
+    assert linear["iterations"] == "1"
 
 
 def test_matched_rms_comparison_stops_at_the_first_match():

@@ -1,3 +1,5 @@
+import csv
+import json
 import os
 import subprocess
 import sys
@@ -10,13 +12,13 @@ from hypothesis import strategies as st
 
 from whdpd import kernels, learn
 from whdpd.dsp import SampledSignal, snr_db, synchronize
+from whdpd.experiment import save_artifact
 from whdpd.kernels import fir_grad_input, fir_grad_taps, fir_same
 from whdpd.learn import (AdamState, DpdArtifact, FitConfig,
                          TrainingDivergedError, WhGradients, adam_step,
                          apply_dpd, artifact_from_dict, artifact_to_dict,
                          fit_postestimator, indirect_learn, loss, pack,
-                         rescale_artifact, rescale_nl_coeff, unpack,
-                         wh_backward)
+                         rescale_artifact, rescale_nl_coeff, wh_backward)
 from whdpd.model import (FirBlock, PolyNlBlock, WhModel, nl_apply,
                          wh_forward)
 
@@ -458,16 +460,6 @@ def test_pack_unpack_round_trip():
     theta = pack(model)
     # taps as stored, then the coefficients by ascending order
     assert np.array_equal(theta, [0.1, 1.0, -0.2, -0.02, 0.05, 0.3, 0.9])
-    other = WhModel([FirBlock(np.zeros(3)), PolyNlBlock({3: 0.0, 2: 0.0}),
-                     FirBlock(np.zeros(2))])
-    unpack(theta, other)
-    assert np.array_equal(other.layers[0].taps, model.layers[0].taps)
-    assert other.layers[1].coeffs == model.layers[1].coeffs
-    assert list(other.layers[1].coeffs) == [3, 2]
-    assert np.array_equal(other.layers[2].taps, model.layers[2].taps)
-    assert np.array_equal(pack(other), theta)
-    with pytest.raises(ValueError):
-        unpack(theta[:-1], other)
 
 
 def test_adam_step_matches_per_coefficient_recurrence():
@@ -913,21 +905,51 @@ def _blas_name():
         return ""
 
 
-@pytest.mark.skipif("openblas" not in _blas_name(),
-                    reason="the thresholds kept to are OpenBLAS's")
-def test_paper_point_fit_keeps_to_one_thread():
-    # with two BLAS threads allowed, a fit step at N = 16384, K = 15 still
-    # makes no call that BLAS splits, so the process uses about one core
-    # (a split call leaves the second thread spinning: CPU time ~2x wall)
+LINEAR_FIT_THREAD_USE = """
+import resource, time
+from whdpd.experiment import ExperimentConfig, Workbench
+bench = Workbench(ExperimentConfig(n_symbols=8192))
+bench.train(0.9, freeze_nonlinear=True)
+time.sleep(0.5)  # lets a BLAS thread that spins after a call park first
+r, t = resource.getrusage(resource.RUSAGE_SELF), time.perf_counter()
+# repeated, so that a thread left spinning by one fit runs into the next
+for _ in range(20):
+    bench.train(0.9, freeze_nonlinear=True)
+wall = time.perf_counter() - t
+s = resource.getrusage(resource.RUSAGE_SELF)
+print((s.ru_utime - r.ru_utime + s.ru_stime - r.ru_stime) / wall)
+"""
+
+
+def _cpu_per_wall_on_two_blas_threads(script):
+    """CPU time / wall time of the script's timed part, which it prints, in
+    a fresh interpreter allowed two BLAS threads."""
     src = str(Path(learn.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
                PYTHONPATH=os.pathsep.join(
                    [src] + [p for p in os.environ.get("PYTHONPATH",
                                                       "").split(os.pathsep)
                             if p]))
-    done = subprocess.run([sys.executable, "-c", FIT_THREAD_USE], env=env,
+    done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, check=True)
-    assert float(done.stdout) < 1.4
+    return float(done.stdout)
+
+
+@pytest.mark.skipif("openblas" not in _blas_name(),
+                    reason="the thresholds kept to are OpenBLAS's")
+def test_paper_point_fit_keeps_to_one_thread():
+    # with two BLAS threads allowed, a fit step at N = 16384, K = 15 still
+    # makes no call that BLAS splits, so the process uses about one core
+    # (a split call leaves the second thread spinning: CPU time ~2x wall)
+    assert _cpu_per_wall_on_two_blas_threads(FIT_THREAD_USE) < 1.4
+
+
+@pytest.mark.skipif("openblas" not in _blas_name(),
+                    reason="the thresholds kept to are OpenBLAS's")
+def test_paper_point_linear_fit_keeps_to_one_thread():
+    # the same for linear-only DPD at the paper point: the capture and the
+    # least-squares solve of N = 16384, K = 29
+    assert _cpu_per_wall_on_two_blas_threads(LINEAR_FIT_THREAD_USE) < 1.4
 
 
 def test_fit_capture_shorter_than_half_filter():
@@ -993,6 +1015,124 @@ def test_indirect_learn_pure_fir_channel():
     resp = np.fft.rfft(cascade, n_fft) * np.fft.rfft(h, n_fft)
     inband = np.abs(resp[:n_fft // 4])
     assert np.max(np.abs(inband / np.mean(inband) - 1.0)) < 0.02
+
+
+# --- linear-only DPD: the least-squares solve ------------------------------
+
+def _convolution_matrix(x, k):
+    """X[n, j] = x[n + K//2 - j], x zero outside [0, N): fir_same(x, h) is
+    X @ h."""
+    n, c = len(x), k // 2
+    t = np.arange(n)[:, None] + c - np.arange(k)[None, :]
+    inside = (t >= 0) & (t < n)
+    return np.where(inside, x[np.clip(t, 0, n - 1)], 0.0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 8, 29])
+@pytest.mark.parametrize("n", [1, 7, 64, 4096])
+def test_gram_is_the_convolution_matrixs_gram(n, k):
+    x = np.random.default_rng(n * 100 + k).normal(size=n)
+    big = _convolution_matrix(x, k)
+    assert np.allclose(big @ np.arange(1.0, k + 1), fir_same(x, np.arange(
+        1.0, k + 1)), rtol=1e-12, atol=1e-12)
+    explicit = big.T @ big
+    g = learn.gram(x, k)
+    assert np.array_equal(g, g.T)
+    assert np.max(np.abs(g - explicit)) <= 1e-13 * np.max(np.abs(explicit))
+
+
+def _linear_capture(n, seed=30):
+    """A capture of a mildly nonlinear, dispersive channel, RMS-matched to
+    its white reference, as received and reference signals."""
+    rng = np.random.default_rng(seed)
+    ref = rng.normal(size=n) * 0.4
+    y = fir_same(ref, np.array([0.05, 0.95, 0.15, -0.05]))
+    y = y - 0.1 * y ** 3 + 0.01 * rng.normal(size=n)
+    y *= np.sqrt(np.mean(ref ** 2) / np.mean(y ** 2))
+    return sig(y), sig(ref)
+
+
+def test_fit_linear_residual_is_orthogonal_to_every_column():
+    received, ref = _linear_capture(2048)
+    art = learn.fit_linear(received, ref, 29)
+    (block,) = art.model.layers
+    x = received.samples
+    r = fir_same(x, block.taps) - ref.samples
+    assert block.taps.size == 29
+    assert art.nl_input_amplitudes == {}
+    assert art.iterations == 1
+    assert np.max(np.abs(fir_grad_taps(r, x, 29))) <= 1e-12 * np.max(
+        np.abs(fir_grad_taps(ref.samples, x, 29)))
+    assert art.final_loss == loss(fir_same(x, block.taps), ref) / 2048
+    # the gradient norm at the solution is ~0, at the start it is not
+    assert art.history[1][2] < 1e-12 * art.history[0][2]
+
+
+@pytest.mark.parametrize("k1, k2", [(7, 7), (15, 15), (4, 5)])
+def test_fit_linear_loss_is_at_or_below_the_adam_linear_fit(k1, k2):
+    received, ref = _linear_capture(1024)
+    adam = fit_postestimator(received, ref, WhModel.lnl(k1, k2),
+                             FitConfig(iterations=300, lr_nl=0.0))
+    solved = learn.fit_linear(received, ref, k1 + k2 - 1)
+    assert solved.final_loss <= adam.final_loss
+
+
+def test_fit_linear_keeps_an_optimal_start():
+    # on an identity capture the unit-centre-tap filter is exact, and the
+    # solve can only round away from it
+    x = sig(np.random.default_rng(31).normal(size=256))
+    art = learn.fit_linear(x, x, 15)
+    assert art.final_loss == 0.0 == art.history[0][1]
+    assert np.array_equal(art.model.layers[0].taps, FirBlock.identity(15).taps)
+
+
+@pytest.mark.parametrize("n, k, samples", [
+    (5, 15, None),           # N < K: at most N independent columns
+    (1, 2, None),
+    (64, 15, np.zeros(64)),  # no energy at all
+])
+def test_fit_linear_rejects_a_rank_deficient_capture(n, k, samples):
+    x = np.random.default_rng(32).normal(size=n) if samples is None \
+        else samples
+    ref = sig(np.random.default_rng(33).normal(size=n))
+    with pytest.raises(ValueError, match=rf"N = {n}, K = {k}\) has "
+                       r"condition number"):
+        learn.fit_linear(sig(x), ref, k)
+
+
+@pytest.mark.parametrize("which", ["received", "reference"])
+def test_fit_linear_rejects_a_non_finite_sample(which):
+    received, ref = _linear_capture(64)
+    bad = received if which == "received" else ref
+    bad.samples[10] = np.nan
+    with pytest.raises(ValueError, match="finite capture and reference"):
+        learn.fit_linear(received, ref, 5)
+
+
+def test_fit_linear_artifact_survives_json_bit_for_bit():
+    received, ref = _linear_capture(512)
+    art = learn.fit_linear(received, ref, 13)
+    again = artifact_from_dict(json.loads(json.dumps(artifact_to_dict(art))))
+    x = sig(np.random.default_rng(34).normal(size=300))
+    assert np.array_equal(apply_dpd(art, x).samples,
+                          apply_dpd(again, x).samples)
+    assert again.final_loss == art.final_loss
+    assert again.iterations == 1
+    assert again.nl_input_amplitudes == {}
+
+
+def test_fit_linear_training_log_starts_at_the_initial_loss(tmp_path):
+    received, ref = _linear_capture(512)
+    art = learn.fit_linear(received, ref, 13)
+    save_artifact(art, tmp_path / "a.json", tmp_path / "log.csv")
+    with open(tmp_path / "log.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [r["iteration"] for r in rows] == ["0", "1"]
+    assert float(rows[0]["loss"]) == pytest.approx(
+        loss(received, ref) / 512, rel=1e-11)
+    assert float(rows[1]["loss"]) == pytest.approx(art.final_loss,
+                                                   rel=1e-11)
+    assert float(rows[1]["loss"]) < float(rows[0]["loss"])
 
 
 # --- applying the artifact ------------------------------------------------

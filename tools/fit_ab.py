@@ -7,7 +7,8 @@
 PARENT_SRC and CHANGE_SRC are directories that hold a ``whdpd`` package
 (the ``src/`` of two checkouts). For each capture length N (``--sizes``,
 default 64, 4096 and 16384 samples; K1 = K2 = 15) and each fit mode, a WH
-fit and a linear-only one (``lr_nl = 0``, as the sweep's linear mode), the
+fit and one with the cubic held at 0 (``lr_nl = 0``; the sweep's linear mode
+does not run Adam but solves for its filter, see ``learn.fit_linear``), the
 tool runs ``--pairs`` pairs of fresh interpreters, one per side,
 alternating which side runs first, so a host whose speed drifts slows both
 sides alike. Each run imports whdpd from its tree only, with one BLAS
@@ -32,7 +33,7 @@ from pathlib import Path
 SIZES = (64, 4096, 16384)
 K = 15
 # fit mode -> the nonlinear learning rate it fits with
-MODES = {"wh": 1e-4, "linear": 0.0}
+MODES = {"wh": 1e-4, "lr_nl=0": 0.0}
 
 RUN = r"""
 import hashlib, json, sys, time
