@@ -166,12 +166,17 @@ def synchronize(reference, received, min_peak=0.1):
 
 
 def rms_normalize(x, target_rms):
-    """Scale a signal to the requested RMS."""
-    if target_rms <= 0:
-        raise ValueError("target_rms must be > 0")
+    """Scale a signal to the requested RMS (> 0 and finite); an all-zero or
+    non-finite signal raises ValueError."""
+    # written so that NaN fails them
+    if not 0 < target_rms < np.inf:
+        raise ValueError(f"target_rms must be > 0 and finite, got "
+                         f"{target_rms!r}")
     cur = x.rms()
     if cur == 0:
         raise ValueError("cannot RMS-normalize an all-zero signal")
+    if not cur < np.inf:
+        raise ValueError(f"cannot RMS-normalize a signal of RMS {cur!r}")
     return x.with_samples(x.samples * (target_rms / cur))
 
 
@@ -185,7 +190,8 @@ def snr_db(reference, demodulated):
     Accepts real rails, complex sequences or SampledSignals. The optimal
     gain removes any residual scale (and sign) before the ratio; the return
     value is capped at SNR_CEILING_DB when the error power underflows. An
-    all-zero reference or demodulated signal raises ValueError.
+    all-zero or non-finite reference or demodulated signal raises
+    ValueError.
     """
     r = _as_array(reference)
     d = _as_array(demodulated)
@@ -196,6 +202,10 @@ def snr_db(reference, demodulated):
     if p_sig == 0 or dd == 0:
         raise ValueError("SNR against an all-zero reference or demodulated "
                          "signal is undefined")
+    # written so that NaN fails it
+    if not (p_sig < np.inf and abs(dd) < np.inf):
+        raise ValueError(f"SNR needs finite signals: reference power "
+                         f"{float(p_sig)}, demodulated energy {abs(dd)}")
     g = inner(d, r) / dd
     err = r - g * d
     p_err = np.mean(np.abs(err) ** 2)
@@ -205,9 +215,14 @@ def snr_db(reference, demodulated):
 
 
 def papr_db(x):
-    """Peak-to-average power ratio in dB."""
-    s = _as_array(x)
-    p_mean = np.mean(np.abs(s) ** 2)
+    """Peak-to-average power ratio in dB; an all-zero or non-finite signal
+    raises ValueError."""
+    p = np.abs(_as_array(x)) ** 2
+    p_mean = np.mean(p)
     if p_mean == 0:
         raise ValueError("PAPR of an all-zero signal is undefined")
-    return float(10.0 * np.log10(np.max(np.abs(s) ** 2) / p_mean))
+    # written so that NaN fails it
+    if not p_mean < np.inf:
+        raise ValueError(f"PAPR needs a finite signal: mean power "
+                         f"{float(p_mean)}")
+    return float(10.0 * np.log10(np.max(p) / p_mean))

@@ -108,8 +108,17 @@ def scale_to_peak(samples, peak):
     return samples * (peak / m)
 
 
+def _complex(re, im):
+    """re + 1j * im, formed without the 1j * im temporary."""
+    z = np.empty(re.size, dtype=np.complex128)
+    z.real = re
+    z.imag = im
+    return z
+
+
 class Workbench:
-    """Holds the generated reference waveform and runs single sweep points."""
+    """Holds the generated reference waveform and the channel noise's draws
+    (one per channel seed and length), and runs single sweep points."""
 
     def __init__(self, cfg):
         self.cfg = cfg
@@ -119,12 +128,25 @@ class Workbench:
         symbols = qam_modulate(bits, spec)
         rrc = RrcSpec(cfg.rolloff, cfg.span_symbols, cfg.samples_per_symbol)
         self.i_rail, self.q_rail = shape_pulse(symbols, rrc)
-        self.reference = self.i_rail.samples + 1j * self.q_rail.samples
+        self.reference = _complex(self.i_rail.samples, self.q_rail.samples)
+        # (channel seed, N) -> that seed's standard-normal draw of N samples
+        self._normals = {}
+
+    def _normal(self, seed, n):
+        """The channel noise's standard-normal draw for seed and length n,
+        drawn on first use and held for every later rail and capture."""
+        key = (seed, n)
+        if key not in self._normals:
+            self._normals[key] = np.random.default_rng(seed).standard_normal(n)
+        return self._normals[key]
 
     def _channel_fn(self, seed_offset=0):
         ch = self.cfg.channel
         ch = replace(ch, seed=ch.seed + seed_offset)
-        return lambda sig: simulate_tx(ch, sig)
+        if ch.noise_snr_db is None:
+            return lambda sig: simulate_tx(ch, sig)
+        return lambda sig: simulate_tx(
+            ch, sig, self._normal(ch.seed, sig.samples.size))
 
     def train(self, v_in, freeze_nonlinear=False):
         """Indirect learning at drive v_in on the I rail: the WH cascade,
@@ -149,14 +171,14 @@ class Workbench:
             z_i = apply_dpd(artifact, self.i_rail).samples
             z_q = apply_dpd(artifact, self.q_rail).samples
         z_i, z_q = scale_to_peak(np.stack([z_i, z_q]), v_in)
-        papr = papr_db(z_i + 1j * z_q)
+        papr = papr_db(_complex(z_i, z_q))
         out_i = self._channel_fn(0)(self.i_rail.with_samples(z_i))
         out_q = self._channel_fn(1)(self.q_rail.with_samples(z_q))
         out_rms = float(np.sqrt(np.mean(out_i.samples ** 2
                                         + out_q.samples ** 2)))
         _, al_i = synchronize(self.i_rail.with_samples(z_i), out_i)
         _, al_q = synchronize(self.q_rail.with_samples(z_q), out_q)
-        snr = snr_db(self.reference, al_i.samples + 1j * al_q.samples)
+        snr = snr_db(self.reference, _complex(al_i.samples, al_q.samples))
         return {"snr_db": snr, "out_rms": out_rms, "papr_db": papr}
 
     def run_point(self, v_in, mode):

@@ -110,8 +110,14 @@ def saturate(spec, x):
     return x.with_samples(y)
 
 
-def simulate_tx(channel, x):
-    """Run one rail through the transmitter chain; deterministic per seed."""
+def simulate_tx(channel, x, normal=None):
+    """Run one rail through the transmitter chain; deterministic per seed.
+
+    The noise is sigma * normal, where normal is the seed's standard-normal
+    draw default_rng(channel.seed).standard_normal(N); it is drawn here when
+    not given. A caller that drives the channel repeatedly can hold the draw
+    and pass it. The sum is bit for bit that of rng.normal(0.0, sigma, N).
+    """
     sig = x
     if channel.dac_bits is not None:
         sig = quantize(sig, channel.dac_bits, channel.dac_full_scale)
@@ -122,11 +128,15 @@ def simulate_tx(channel, x):
         sig = sig.with_samples(
             np.sin(np.pi * sig.samples / (2.0 * channel.mzm.v_pi)))
     if channel.noise_snr_db is not None:
-        rng = np.random.default_rng(channel.seed)
+        n = sig.samples.size
+        if normal is None:
+            normal = np.random.default_rng(channel.seed).standard_normal(n)
+        if normal.shape != (n,):
+            raise ValueError(f"noise draw has {normal.size} samples, the "
+                             f"signal {n}")
         p_sig = np.mean(sig.samples ** 2)
         p_noise = p_sig * 10.0 ** (-channel.noise_snr_db / 10.0)
-        sig = sig.with_samples(
-            sig.samples + rng.normal(0.0, np.sqrt(p_noise), sig.samples.size))
+        sig = sig.with_samples(sig.samples + np.sqrt(p_noise) * normal)
     return sig
 
 

@@ -324,6 +324,19 @@ def test_dsp_rejects_bad_arguments(call, message):
         call()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_rms_normalize_rejects_a_non_finite_target(bad):
+    with pytest.raises(ValueError, match="target_rms must be > 0 and finite"):
+        rms_normalize(SampledSignal(np.ones(4)), bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_rms_normalize_rejects_a_non_finite_signal(bad):
+    with pytest.raises(ValueError, match="cannot RMS-normalize a signal of "
+                       f"RMS {bad}"):
+        rms_normalize(SampledSignal([1.0, bad, 2.0]), 1.0)
+
+
 # --- SNR ------------------------------------------------------------------
 
 def test_snr_ceiling_on_equal_signals():
@@ -366,6 +379,16 @@ def test_snr_rejects_length_mismatch():
         snr_db(np.ones(4), np.ones(5))
 
 
+@pytest.mark.parametrize("where", ["reference", "demodulated"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_snr_rejects_a_non_finite_sample(where, bad):
+    r = _ref_signal(64).samples
+    d = r.copy()
+    (r if where == "reference" else d)[5] = bad
+    with pytest.raises(ValueError, match="SNR needs finite signals"):
+        snr_db(r, d)
+
+
 # --- PAPR -----------------------------------------------------------------
 
 def test_papr_constant_amplitude():
@@ -391,3 +414,10 @@ def test_papr_shaped_qam_golden():
 def test_papr_rejects_zero():
     with pytest.raises(ValueError):
         papr_db(np.zeros(8))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_papr_rejects_a_non_finite_sample(bad):
+    with pytest.raises(ValueError, match=f"PAPR needs a finite signal: mean "
+                       f"power {bad}"):
+        papr_db(np.array([1.0, bad, -1.0]))

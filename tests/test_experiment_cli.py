@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -168,12 +169,56 @@ def test_evaluate_rejects_non_positive_drive(drive):
 
 
 def test_evaluate_drives_the_rails_with_different_noise_seeds(monkeypatch):
-    seeds = []
+    seeds, normals = [], []
     real = experiment.simulate_tx
     monkeypatch.setattr(experiment, "simulate_tx",
-                        lambda ch, x: seeds.append(ch.seed) or real(ch, x))
+                        lambda ch, x, normal: seeds.append(ch.seed)
+                        or normals.append(normal) or real(ch, x, normal))
     Workbench(tiny_cfg()).evaluate(None, 0.5)
     assert len(seeds) == 2 and seeds[0] != seeds[1]
+    assert not np.array_equal(normals[0], normals[1])
+
+
+def _count_rngs(monkeypatch):
+    seeds = []
+    real = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed=None: seeds.append(seed) or real(seed))
+    return seeds
+
+
+def test_a_workbench_draws_each_seeds_noise_once(monkeypatch):
+    cfg = tiny_cfg(seed=3, channel=paper_like_preset(seed=20))
+    seeds = _count_rngs(monkeypatch)
+    bench = Workbench(cfg)
+    assert seeds == [3]
+    artifact = bench.train(0.5)
+    assert seeds == [3, 20]
+    first = [bench.evaluate(art, v) for art in (None, artifact)
+             for v in (0.4, 0.5, 0.9)]
+    again = [bench.evaluate(art, v) for art in (None, artifact)
+             for v in (0.4, 0.5, 0.9)]
+    bench.train(0.9)
+    bench.train(0.9, freeze_nonlinear=True)
+    assert seeds == [3, 20, 21]
+    assert first == again
+
+
+def test_a_noiseless_channel_draws_nothing(monkeypatch):
+    bench = Workbench(tiny_cfg(channel=replace(paper_like_preset(),
+                                               noise_snr_db=None)))
+    seeds = _count_rngs(monkeypatch)
+    bench.evaluate(bench.train(0.5), 0.5)
+    assert seeds == []
+
+
+def test_evaluations_follow_the_channel_seed():
+    def evaluations(seed):
+        bench = Workbench(tiny_cfg(channel=paper_like_preset(seed=seed)))
+        return [bench.evaluate(None, v) for v in (0.5, 0.9)]
+
+    assert evaluations(4) == evaluations(4)
+    assert evaluations(4) != evaluations(5)
 
 
 @pytest.mark.parametrize("peak", [0.0, -1.0, float("inf"), float("nan")])

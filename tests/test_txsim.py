@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -142,6 +143,36 @@ def test_simulate_tx_deterministic_per_seed():
     assert np.array_equal(out1.samples, out2.samples)
     out3 = simulate_tx(paper_like_preset(seed=43), x)
     assert not np.array_equal(out1.samples, out3.samples)
+
+
+def _noise_channels(seed, snr):
+    preset = paper_like_preset(seed=seed)
+    for dac_bits in (preset.dac_bits, None):
+        for mzm in (None, MzmSpec(v_pi=1.5)):
+            yield replace(preset, dac_bits=dac_bits, mzm=mzm,
+                          noise_snr_db=snr)
+
+
+@pytest.mark.parametrize("snr", [20.0, 35.0, 50.0])
+@pytest.mark.parametrize("n", [1, 7, 4096])
+def test_a_held_draw_gives_the_seeds_own_noise_bit_for_bit(n, snr):
+    x = sig(np.random.default_rng(8).normal(size=n) * 0.4)
+    for ch in _noise_channels(11, snr):
+        normal = np.random.default_rng(ch.seed).standard_normal(n)
+        held = simulate_tx(ch, x, normal).samples
+        assert np.array_equal(held, simulate_tx(ch, x).samples)
+        clean = simulate_tx(replace(ch, noise_snr_db=None), x).samples
+        sigma = np.sqrt(np.mean(clean ** 2) * 10.0 ** (-snr / 10.0))
+        drawn = np.random.default_rng(ch.seed).normal(0.0, sigma, n)
+        assert np.array_equal(held, clean + drawn)
+
+
+@pytest.mark.parametrize("size", [7, 9])
+def test_a_held_draw_of_the_wrong_length_raises(size):
+    with pytest.raises(ValueError, match=f"noise draw has {size} samples, "
+                       "the signal 8"):
+        simulate_tx(paper_like_preset(), sig(np.ones(8) * 0.3),
+                    np.zeros(size))
 
 
 def test_mzm_transfer():

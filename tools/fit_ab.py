@@ -1,4 +1,5 @@
-"""A/B timing of fit_postestimator per step: one source tree against another.
+"""A/B timing of the fit step or of an evaluation: one source tree against
+another.
 
     python tools/fit_ab.py PARENT_SRC CHANGE_SRC
     python tools/fit_ab.py PARENT_SRC CHANGE_SRC --pairs 10 --iterations 500
@@ -20,6 +21,21 @@ final coefficients and stored amplitudes. The tool prints, per N, mode and
 side, the median and quartiles of the time per step, the pairs the change
 won, and the digests: one digest per N and mode on both sides means the
 two trees fit bit for bit alike. ``--json PATH`` also writes every run.
+
+    python tools/fit_ab.py PARENT_SRC CHANGE_SRC --evaluate
+
+``--evaluate`` times ``Workbench.evaluate`` instead, by the same pairs of
+interpreters, at the benchmark workloads' sizes (``--sizes`` symbols,
+default 8192, 65536 and 2048, with K1 = K2 = 15, 401 and 15; other sizes
+take K = 15). Each run builds a Workbench on the paper-like channel, takes a
+WH fit of ``--iterations`` steps (default 50) at drive 0.9, then makes
+ten rounds of evaluations without and with that DPD at drives 0.6, 0.9 and
+1.3. It reports its mean and its fastest evaluation, and a SHA-256
+digest of every evaluation's SNR, output RMS and PAPR as float hex. The
+tool prints, per size and side, the median and quartiles of the runs' mean,
+the fastest evaluation of all runs, and the digests. The run uses only
+``Workbench``, ``ExperimentConfig``, ``FitConfig`` and ``paper_like_preset``,
+so it runs on older trees too.
 """
 
 import argparse
@@ -34,18 +50,25 @@ SIZES = (64, 4096, 16384)
 K = 15
 # fit mode -> the nonlinear learning rate it fits with
 MODES = {"wh": 1e-4, "lr_nl=0": 0.0}
+# --evaluate: symbols -> K1 = K2, the paper-train, stress and sweep-small
+# workloads' sizes
+EVAL_SIZES = {8192: 15, 65536: 401, 2048: 15}
+ROUNDS = 10
 
-RUN = r"""
+IMPORT = r"""
 import hashlib, json, sys, time
 from pathlib import Path
 src = Path(sys.argv[1]).resolve()
 sys.path.insert(0, str(src))
 import numpy as np
 import whdpd
-from whdpd import FitConfig, SampledSignal, WhModel, fit_postestimator
-from whdpd.learn import pack
 if not Path(whdpd.__file__).resolve().is_relative_to(src):
     sys.exit(f"imported whdpd from {whdpd.__file__}, not {src}")
+"""
+
+RUN = IMPORT + r"""
+from whdpd import FitConfig, SampledSignal, WhModel, fit_postestimator
+from whdpd.learn import pack
 n, k, iterations = map(int, sys.argv[2:5])
 lr_nl = float(sys.argv[5])
 x = np.random.default_rng(0).normal(size=n) * 0.3
@@ -62,16 +85,40 @@ for it, j, gn in art.history:
     h.update(f"{it} {float(j).hex()} {float(gn).hex()};".encode())
 h.update(pack(art.model).tobytes())
 h.update(repr(sorted(art.nl_input_amplitudes.items())).encode())
-print(json.dumps({"us_per_step": per_step * 1e6, "digest": h.hexdigest(),
+print(json.dumps({"time": per_step * 1e6, "digest": h.hexdigest(),
                   "iterations": art.iterations}))
 """
 
+EVALUATE = IMPORT + r"""
+from whdpd.experiment import ExperimentConfig, Workbench
+from whdpd.learn import FitConfig
+from whdpd.txsim import paper_like_preset
+n_symbols, k, iterations, rounds = map(int, sys.argv[2:6])
+cfg = ExperimentConfig(n_symbols=n_symbols, k1=k, k2=k,
+                       channel=paper_like_preset(),
+                       fit=FitConfig(iterations=iterations))
+bench = Workbench(cfg)
+artifact = bench.train(0.9)
+times = []
+h = hashlib.sha256()
+for _ in range(rounds):
+    for art in (None, artifact):
+        for v in (0.6, 0.9, 1.3):
+            t = time.perf_counter()
+            m = bench.evaluate(art, v)
+            times.append(time.perf_counter() - t)
+            h.update(" ".join(float(m[key]).hex() for key in
+                              ("snr_db", "out_rms", "papr_db")).encode())
+print(json.dumps({"time": sum(times) / len(times) * 1e3,
+                  "min": min(times) * 1e3, "digest": h.hexdigest()}))
+"""
 
-def run(src, n, iterations, mode):
+
+def run(src, script, *args):
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1", PYTHONDONTWRITEBYTECODE="1")
-    done = subprocess.run([sys.executable, "-c", RUN, str(src), str(n),
-                           str(K), str(iterations), str(MODES[mode])],
+    done = subprocess.run([sys.executable, "-c", script, str(src),
+                           *map(str, args)],
                           env=env, capture_output=True, text=True, check=True)
     return json.loads(done.stdout.splitlines()[-1])
 
@@ -85,37 +132,55 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("parent_src", type=Path)
     p.add_argument("change_src", type=Path)
+    p.add_argument("--evaluate", action="store_true",
+                   help="time Workbench.evaluate instead of the fit step")
     p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--iterations", type=int, default=500)
-    p.add_argument("--sizes", type=int, nargs="+", default=SIZES,
-                   metavar="N", help="capture lengths to time (default: "
-                   "%(default)s)")
+    p.add_argument("--iterations", type=int,
+                   help="fit steps (default: 500, or 50 with --evaluate)")
+    p.add_argument("--sizes", type=int, nargs="+", metavar="N",
+                   help="capture lengths, or symbol counts with --evaluate "
+                   f"(default: {SIZES}, or {tuple(EVAL_SIZES)})")
     p.add_argument("--json", type=Path, help="write every run here")
     args = p.parse_args(argv)
-    if args.pairs < 2 or args.iterations < 1 or min(args.sizes) < 1:
+    iterations = args.iterations
+    if iterations is None:
+        iterations = 50 if args.evaluate else 500
+    sizes = args.sizes or (EVAL_SIZES if args.evaluate else SIZES)
+    if args.pairs < 2 or min(iterations, *sizes) < 1:
         p.error("quartiles need --pairs >= 2; --iterations and --sizes "
                 "must be >= 1")
+    if args.evaluate:
+        cases = {f"{n} symbols, K = {EVAL_SIZES.get(n, K)}, evaluate after "
+                 f"a {iterations}-step fit, {ROUNDS} rounds":
+                 (EVALUATE, n, EVAL_SIZES.get(n, K), iterations, ROUNDS)
+                 for n in sizes}
+        unit, digest = "ms/evaluation", "evaluation digest"
+    else:
+        cases = {f"N = {n}, K = {K}, {mode} fit, {iterations} steps":
+                 (RUN, n, K, iterations, MODES[mode])
+                 for n in sizes for mode in MODES}
+        unit, digest = "us/step", "history digest"
     sides = {"parent": args.parent_src, "change": args.change_src}
-    cases = [(n, mode) for n in args.sizes for mode in MODES]
     runs = []
-    for n, mode in cases:
+    for case, (script, *case_args) in cases.items():
         for pair in range(args.pairs):
             for side in sorted(sides, reverse=pair % 2 == 1):
-                runs.append(dict(run(sides[side], n, args.iterations, mode),
-                                 n=n, mode=mode, pair=pair, side=side))
-    for n, mode in cases:
-        at = {side: [r for r in runs if (r["n"], r["mode"], r["side"])
-                     == (n, mode, side)] for side in sides}
-        times = {side: [r["us_per_step"] for r in rs]
-                 for side, rs in at.items()}
+                runs.append(dict(run(sides[side], script, *case_args),
+                                 case=case, pair=pair, side=side))
+    for case in cases:
+        at = {side: [r for r in runs if (r["case"], r["side"])
+                     == (case, side)] for side in sides}
+        times = {side: [r["time"] for r in rs] for side, rs in at.items()}
         wins = sum(c < q for q, c in zip(times["parent"], times["change"]))
-        print(f"N = {n}, K = {K}, {mode} fit, {args.iterations} steps, "
-              f"{args.pairs} pairs; change faster in {wins}")
+        print(f"{case}, {args.pairs} pairs; change faster in {wins}")
         for side in sides:
             med, q1, q3 = quartiles(times[side])
+            fastest = (f", fastest {min(r['min'] for r in at[side]):.3f}"
+                       if args.evaluate else "")
             digests = sorted({r["digest"] for r in at[side]})
-            print(f"  {side:6s} {med:8.1f} us/step [{q1:.1f}, {q3:.1f}]  "
-                  f"history digest {', '.join(d[:16] for d in digests)}")
+            print(f"  {side:6s} {med:8.3f} {unit} [{q1:.3f}, {q3:.3f}]"
+                  f"{fastest}  {digest} "
+                  f"{', '.join(d[:16] for d in digests)}")
     if args.json:
         args.json.write_text(json.dumps(runs, indent=1) + "\n")
 
