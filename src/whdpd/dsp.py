@@ -143,19 +143,30 @@ def shape_pulse(symbols, spec):
     return SampledSignal(shaped.real), SampledSignal(shaped.imag)
 
 
-def synchronize(reference, received, min_peak=0.1):
+def synchronize(reference, received, min_peak=0.1, spectrum=None):
     """Find the delay of received vs reference by circular cross-correlation.
 
     Returns (delay, aligned) where aligned is received rotated back by delay
     and truncated to the reference length. Raises AlignmentError when the
-    normalized correlation peak falls below min_peak.
+    normalized correlation peak falls below min_peak. spectrum, if given, is
+    the reference's conjugate spectrum at the received length,
+    conj(rfft(reference, len(received))), which a caller that aligns many
+    captures to one reference can hold; one of another length raises
+    ValueError.
     """
     r = reference.samples
     v = received.samples
     if v.size < r.size:
         raise ValueError("received shorter than reference")
-    corr = np.fft.irfft(np.fft.rfft(v) * np.conj(np.fft.rfft(r, v.size)),
-                        v.size)
+    if spectrum is None:
+        spectrum = np.conj(np.fft.rfft(r, v.size))
+    elif spectrum.shape != (v.size // 2 + 1,):
+        raise ValueError(f"reference spectrum has {spectrum.size} bins, a "
+                         f"received signal of {v.size} samples needs "
+                         f"{v.size // 2 + 1}")
+    f = np.fft.rfft(v)
+    f *= spectrum
+    corr = np.fft.irfft(f, v.size)
     peak = int(np.argmax(corr))
     norm = np.sqrt(inner(r, r) * inner(v, v))
     # written so that a NaN in either signal fails it
@@ -207,8 +218,11 @@ def snr_db(reference, demodulated):
         raise ValueError(f"SNR needs finite signals: reference power "
                          f"{float(p_sig)}, demodulated energy {abs(dd)}")
     g = inner(d, r) / dd
-    err = r - g * d
-    p_err = np.mean(np.abs(err) ** 2)
+    # r - g*d and its squared magnitude, each formed in place
+    err = g * d
+    np.subtract(r, err, out=err)
+    e2 = np.abs(err)
+    p_err = np.mean(np.square(e2, out=e2))
     if p_err <= p_sig * 10.0 ** (-SNR_CEILING_DB / 10.0):
         return SNR_CEILING_DB
     return float(10.0 * np.log10(p_sig / p_err))

@@ -25,7 +25,7 @@ import numpy as np
 from .dsp import (ConstellationSpec, RrcSpec, papr_db, qam_modulate,
                   shape_pulse, snr_db, synchronize)
 from .learn import (FitConfig, apply_dpd, artifact_to_dict, capture,
-                    fit_linear, indirect_learn, rescale_artifact)
+                    dpd_key, fit_linear, indirect_learn, rescale_artifact)
 from .model import SCHEMA_VERSION, WhModel, complexity
 from .txsim import TxChannel, paper_like_preset, simulate_tx
 
@@ -117,8 +117,20 @@ def _complex(re, im):
 
 
 class Workbench:
-    """Holds the generated reference waveform and the channel noise's draws
-    (one per channel seed and length), and runs single sweep points."""
+    """Holds the generated reference waveform, the channel noise's draws
+    (one per channel seed and length) and the drive-independent part of
+    the last evaluation, and runs single sweep points.
+
+    The I and Q rails are views of the complex reference. An evaluation
+    pre-distorts both rails (the plain rails without an artifact) and
+    takes each one's conjugate spectrum, which synchronize correlates the
+    captures against; none of that depends on the drive. The Workbench
+    holds it, read-only, for the last artifact it evaluated, keyed by
+    learn.dpd_key: the artifact's layout, coefficient bits and stored
+    amplitudes, not its identity. So a drive sweep with one artifact
+    pre-distorts once, and an artifact edited in place, or another one,
+    is pre-distorted afresh.
+    """
 
     def __init__(self, cfg):
         self.cfg = cfg
@@ -127,10 +139,15 @@ class Workbench:
         bits = rng.integers(0, 2, cfg.n_symbols * spec.bits_per_symbol)
         symbols = qam_modulate(bits, spec)
         rrc = RrcSpec(cfg.rolloff, cfg.span_symbols, cfg.samples_per_symbol)
-        self.i_rail, self.q_rail = shape_pulse(symbols, rrc)
-        self.reference = _complex(self.i_rail.samples, self.q_rail.samples)
+        i_rail, q_rail = shape_pulse(symbols, rrc)
+        self.reference = _complex(i_rail.samples, q_rail.samples)
+        self.reference.flags.writeable = False
+        self.i_rail = i_rail.with_samples(self.reference.real)
+        self.q_rail = q_rail.with_samples(self.reference.imag)
         # (channel seed, N) -> that seed's standard-normal draw of N samples
         self._normals = {}
+        # (dpd_key, pre-distorted [I, Q] rails, their conjugate spectra)
+        self._held = None
 
     def _normal(self, seed, n):
         """The channel noise's standard-normal draw for seed and length n,
@@ -162,23 +179,46 @@ class Workbench:
         return indirect_learn(drive, self._channel_fn(),
                               WhModel.lnl(cfg.k1, cfg.k2), cfg.fit)
 
+    def _predistorted(self, artifact):
+        """The pre-distorted I and Q rails for artifact (the rails
+        themselves for None) and their conjugate spectra: the held ones
+        when the artifact's key is the held key, else formed and held in
+        their place."""
+        key = dpd_key(artifact)
+        if self._held is None or self._held[0] != key:
+            # dropped first, so that a failing apply_dpd leaves none held
+            self._held = None
+            pair = [r.samples if artifact is None
+                    else apply_dpd(artifact, r).samples
+                    for r in (self.i_rail, self.q_rail)]
+            spectra = [np.conj(f, out=f) for f in map(np.fft.rfft, pair)]
+            for a in pair + spectra:
+                a.flags.writeable = False
+            self._held = key, pair, spectra
+        return self._held[1:]
+
     def evaluate(self, artifact, v_in):
         """Apply an optional DPD artifact, drive the channel at peak v_in,
-        and measure SNR / output RMS / channel-input PAPR."""
-        if artifact is None:
-            z_i, z_q = self.i_rail.samples, self.q_rail.samples
-        else:
-            z_i = apply_dpd(artifact, self.i_rail).samples
-            z_q = apply_dpd(artifact, self.q_rail).samples
-        z_i, z_q = scale_to_peak(np.stack([z_i, z_q]), v_in)
-        papr = papr_db(_complex(z_i, z_q))
-        out_i = self._channel_fn(0)(self.i_rail.with_samples(z_i))
-        out_q = self._channel_fn(1)(self.q_rail.with_samples(z_q))
-        out_rms = float(np.sqrt(np.mean(out_i.samples ** 2
-                                        + out_q.samples ** 2)))
-        _, al_i = synchronize(self.i_rail.with_samples(z_i), out_i)
-        _, al_q = synchronize(self.q_rail.with_samples(z_q), out_q)
-        snr = snr_db(self.reference, _complex(al_i.samples, al_q.samples))
+        and measure SNR / output RMS / channel-input PAPR. The captures are
+        aligned to the unscaled pre-distorted rails, whose held spectra
+        serve every drive: a reference's scale moves neither the
+        correlation peak nor its normalized height."""
+        pair, spectra = self._predistorted(artifact)
+        rails = (self.i_rail, self.q_rail)
+        z = scale_to_peak(np.stack(pair), v_in)
+        papr = papr_db(_complex(*z))
+        out = [self._channel_fn(o)(rail.with_samples(z[o]))
+               for o, rail in enumerate(rails)]
+        # the scaled rails and then the captures are let go once read: the
+        # SNR stage, which held them all, set the evaluation's peak memory
+        del z
+        out_rms = float(np.sqrt(np.mean(out[0].samples ** 2
+                                        + out[1].samples ** 2)))
+        aligned = _complex(*(
+            synchronize(rail.with_samples(d), o, spectrum=f)[1].samples
+            for rail, d, o, f in zip(rails, pair, out, spectra)))
+        del out
+        snr = snr_db(self.reference, aligned)
         return {"snr_db": snr, "out_rms": out_rms, "papr_db": papr}
 
     def run_point(self, v_in, mode):
@@ -277,9 +317,10 @@ def matched_rms_comparison(cfg, drive, rms_tol_db=0.2, max_iter=40):
 
     Trains both modes at `drive`, then bisects the WH drive over
     [0.3*drive, 3*drive] until its channel-output RMS matches the
-    linear-only run's within rms_tol_db. Returns a dict with both SNRs and
-    the matched operating points; raises ValueError when no drive within
-    max_iter bisection steps matches.
+    linear-only run's within rms_tol_db, the gap 20*log10 of the RMS
+    (amplitude) ratio. Returns a dict with both SNRs, the matched operating
+    points and that gap (rms_gap_db); raises ValueError when no drive
+    within max_iter bisection steps matches.
     """
     bench = Workbench(cfg)
     lin_art = bench.train(drive, freeze_nonlinear=True)
@@ -290,7 +331,7 @@ def matched_rms_comparison(cfg, drive, rms_tol_db=0.2, max_iter=40):
     lo, hi = 0.3 * drive, 3.0 * drive
     v = drive
     wh = bench.evaluate(wh_art, v)
-    gap_db = 10.0 * math.log10(wh["out_rms"] / target)
+    gap_db = 20.0 * math.log10(wh["out_rms"] / target)
     for _ in range(max_iter):
         if abs(gap_db) <= rms_tol_db:
             break
@@ -300,7 +341,7 @@ def matched_rms_comparison(cfg, drive, rms_tol_db=0.2, max_iter=40):
             hi = v
         v = 0.5 * (lo + hi)
         wh = bench.evaluate(wh_art, v)
-        gap_db = 10.0 * math.log10(wh["out_rms"] / target)
+        gap_db = 20.0 * math.log10(wh["out_rms"] / target)
     if abs(gap_db) > rms_tol_db:
         raise ValueError(
             f"no WH drive in [{0.3 * drive:.6g}, {3.0 * drive:.6g}] matched "

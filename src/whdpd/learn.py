@@ -35,9 +35,17 @@ class TrainingDivergedError(RuntimeError):
 
 def _layout(model):
     """Per block, its coefficients' keys in pack's order: range(K) for the
-    taps of an FIR block, the orders() of a polynomial block."""
-    return [range(b.taps.size) if isinstance(b, FirBlock) else b.orders()
-            for b in model.layers]
+    taps of an FIR block, the orders() of a polynomial block. A block of
+    another type raises TypeError, as run_cascade does."""
+    layout = []
+    for b in model.layers:
+        if isinstance(b, FirBlock):
+            layout.append(range(b.taps.size))
+        elif isinstance(b, PolyNlBlock):
+            layout.append(b.orders())
+        else:
+            raise TypeError(f"unknown block type {type(b).__name__}")
+    return layout
 
 
 def _split(flat, layout):
@@ -475,6 +483,20 @@ def apply_dpd(artifact, x):
 
     out, _ = run_cascade(artifact.model, x.samples, scale)
     return x.with_samples(out)
+
+
+def dpd_key(artifact):
+    """Everything of an artifact that apply_dpd reads, as one comparable
+    value: the coefficient layout (each block's kind with its tap count or
+    polynomial orders), the bits of the packed coefficients and the stored
+    amplitudes with their types. Two artifacts with equal keys pre-distort
+    alike; None, no artifact, is its own key."""
+    if artifact is None:
+        return None
+    model = artifact.model
+    return (tuple(_layout(model)), pack(model).tobytes(),
+            tuple((i, type(a), a)
+                  for i, a in artifact.nl_input_amplitudes.items()))
 
 
 def rescale_nl_coeff(a, s, order=3):

@@ -272,6 +272,43 @@ def test_synchronize_rejects_an_all_zero_capture():
         synchronize(ref, ref.with_samples(np.zeros(ref.samples.size)))
 
 
+def _held_spectrum(ref, n):
+    return np.conj(np.fft.rfft(ref.samples, n))
+
+
+@pytest.mark.parametrize("extra", [0, 1, 37])
+def test_synchronize_with_a_held_spectrum_matches_without(extra):
+    # a capture longer than its reference takes the spectrum at its length
+    ref = _ref_signal(511)
+    rng = np.random.default_rng(11)
+    rx = ref.with_samples(np.roll(np.concatenate(
+        [ref.samples, np.zeros(extra)]), 19) + 0.1 * rng.normal(
+            size=ref.samples.size + extra))
+    delay, aligned = synchronize(ref, rx)
+    held = _held_spectrum(ref, rx.samples.size)
+    assert delay == 19
+    got = synchronize(ref, rx, spectrum=held)
+    assert got[0] == delay
+    assert np.array_equal(got[1].samples, aligned.samples)
+
+
+@pytest.mark.parametrize("n", [510, 516])
+def test_synchronize_rejects_a_spectrum_of_another_length(n):
+    ref = _ref_signal(512)
+    with pytest.raises(ValueError, match=rf"reference spectrum has "
+                       rf"{n // 2 + 1} bins, a received signal of 512 "
+                       r"samples needs 257"):
+        synchronize(ref, ref, spectrum=_held_spectrum(ref, n))
+
+
+def test_synchronize_with_a_held_spectrum_rejects_a_nan_capture():
+    ref = _ref_signal()
+    rx = ref.with_samples(np.roll(ref.samples, 7))
+    rx.samples[100] = np.nan
+    with pytest.raises(AlignmentError, match="below floor"):
+        synchronize(ref, rx, spectrum=_held_spectrum(ref, ref.samples.size))
+
+
 # --- RMS normalization ----------------------------------------------------
 
 def test_rms_normalize_halves():

@@ -16,12 +16,13 @@ import pytest
 import whdpd
 from whdpd import experiment, learn
 from whdpd.cli import ConfigError, build_config, main, make_parser
-from whdpd.dsp import SampledSignal
+from whdpd.dsp import SampledSignal, papr_db, snr_db, synchronize
 from whdpd.experiment import (ExperimentConfig, Workbench,
                               matched_rms_comparison, run_experiment,
                               scale_to_peak, sweep_amplitude_with_fixed_dpd)
-from whdpd.learn import DpdArtifact, FitConfig, artifact_to_dict
-from whdpd.model import WhModel
+from whdpd.learn import (DpdArtifact, FitConfig, artifact_from_dict,
+                         artifact_to_dict, dpd_key, pack)
+from whdpd.model import FirBlock, PolyNlBlock, WhModel
 from whdpd.txsim import (SaturationSpec, TxChannel, channel_to_dict,
                          paper_like_preset, simulate_tx)
 
@@ -219,6 +220,163 @@ def test_evaluations_follow_the_channel_seed():
 
     assert evaluations(4) == evaluations(4)
     assert evaluations(4) != evaluations(5)
+
+
+# --- the held pre-distortion ----------------------------------------------
+
+HELD_DRIVES = (0.4, 0.7, 1.2)
+
+
+@pytest.fixture(scope="module")
+def trained():
+    """A config and its three evaluation modes: no artifact, a linear and a
+    WH one."""
+    cfg = tiny_cfg(channel=paper_like_preset(seed=6))
+    bench = Workbench(cfg)
+    return cfg, (None, bench.train(0.5, freeze_nonlinear=True),
+                 bench.train(0.5))
+
+
+def _evaluate_unheld(bench, artifact, v):
+    """evaluate as formed with nothing held: both rails pre-distorted on
+    every call, and each capture aligned to its rail as scaled to v."""
+    z = np.stack([r.samples if artifact is None
+                  else learn.apply_dpd(artifact, r).samples
+                  for r in (bench.i_rail, bench.q_rail)])
+    z = scale_to_peak(z, v)
+    out = [bench._channel_fn(o)(SampledSignal(z[o])) for o in (0, 1)]
+    aligned = [synchronize(SampledSignal(z[o]), out[o])[1].samples
+               for o in (0, 1)]
+    return {"snr_db": snr_db(bench.reference,
+                             experiment._complex(*aligned)),
+            "out_rms": float(np.sqrt(np.mean(out[0].samples ** 2
+                                              + out[1].samples ** 2))),
+            "papr_db": papr_db(experiment._complex(*z))}
+
+
+def _count_dpd(monkeypatch):
+    calls = []
+    real = experiment.apply_dpd
+    monkeypatch.setattr(experiment, "apply_dpd",
+                        lambda art, x: calls.append(art) or real(art, x))
+    return calls
+
+
+def _copy(artifact, amplitudes=None):
+    return DpdArtifact(artifact.model.copy(),
+                       dict(amplitudes or artifact.nl_input_amplitudes),
+                       artifact.final_loss, artifact.iterations)
+
+
+@pytest.mark.parametrize("order", ["artifact-major", "drive-major"])
+def test_held_evaluations_equal_a_fresh_workbenchs(trained, order):
+    cfg, arts = trained
+    jobs = [(a, v) for a in arts for v in HELD_DRIVES]
+    if order == "drive-major":
+        jobs = [(a, v) for v in HELD_DRIVES for a in arts]
+    bench = Workbench(cfg)
+    for art, v in jobs:
+        got = bench.evaluate(art, v)
+        assert got == Workbench(cfg).evaluate(art, v)
+        assert got == _evaluate_unheld(bench, art, v)
+
+
+def test_a_drive_sweep_pre_distorts_each_artifact_once(monkeypatch, trained):
+    cfg, (_, lin, wh) = trained
+    cfg = replace(cfg, amplitudes=(0.5, 0.7, 0.9, 1.1, 1.3))
+    calls = _count_dpd(monkeypatch)
+    sweep_amplitude_with_fixed_dpd(cfg, wh)
+    # one call per rail
+    assert len(calls) == 2 and all(art is wh for art in calls)
+    # each drive's rescaled artifact is another one, even at factor 1
+    sweep_amplitude_with_fixed_dpd(cfg, wh, rescale=True)
+    assert len(calls) == 2 + 2 * 5
+    bench = Workbench(cfg)
+    for art in (lin, wh, _copy(wh),
+                artifact_from_dict(json.loads(json.dumps(
+                    artifact_to_dict(wh))))):
+        bench.evaluate(art, 0.6)
+        bench.evaluate(art, 1.1)
+    # an equal artifact in another object is the held one
+    assert len(calls) == 12 + 4
+
+
+@pytest.mark.parametrize("edit", ["tap", "cubic", "amplitude"])
+def test_an_artifact_edited_in_place_is_pre_distorted_afresh(
+        monkeypatch, trained, edit):
+    cfg, (_, _, wh) = trained
+    art = _copy(wh)
+    bench = Workbench(cfg)
+    before = bench.evaluate(art, 0.7)
+    if edit == "tap":
+        art.model.layers[0].taps[2] += 1e-3
+    elif edit == "cubic":
+        art.model.layers[1].coeffs[3] += 1e-3
+    else:
+        art.nl_input_amplitudes[1] *= 1.01
+    calls = _count_dpd(monkeypatch)
+    after = bench.evaluate(art, 0.7)
+    assert len(calls) == 2
+    assert after != before
+    assert after == Workbench(cfg).evaluate(_copy(art), 0.7)
+
+
+def test_the_same_coefficients_under_another_split_are_pre_distorted_afresh(
+        monkeypatch):
+    theta = np.random.default_rng(12).normal(size=13) * 0.02
+    theta[[2, 5, 9]] += (1.0, 0.05, 1.0)
+
+    def lnl(k1):
+        return DpdArtifact(WhModel([
+            FirBlock(theta[:k1]), PolyNlBlock({3: theta[k1]}),
+            FirBlock(theta[k1 + 1:])]), {1: 0.8}, 0.0, 1)
+
+    a, b = lnl(5), lnl(7)
+    assert np.array_equal(pack(a.model), pack(b.model))
+    assert dpd_key(a) != dpd_key(b)
+    cfg = tiny_cfg(channel=paper_like_preset(seed=6))
+    bench = Workbench(cfg)
+    bench.evaluate(a, 0.7)
+    calls = _count_dpd(monkeypatch)
+    got = bench.evaluate(b, 0.7)
+    assert len(calls) == 2
+    assert got == Workbench(cfg).evaluate(b, 0.7)
+
+
+def test_a_failing_pre_distortion_leaves_nothing_held(monkeypatch, trained):
+    cfg, (_, _, wh) = trained
+    bad = _copy(wh, amplitudes={1: float("nan")})
+    bench = Workbench(cfg)
+    bench.evaluate(wh, 0.7)
+    calls = _count_dpd(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="no positive stored amplitude"):
+            bench.evaluate(bad, 0.7)
+        assert bench._held is None
+    # the I rail's call raised, each time
+    assert len(calls) == 2
+
+
+def test_held_arrays_and_the_rails_are_read_only(trained):
+    cfg, (_, _, wh) = trained
+    bench = Workbench(cfg)
+    assert np.shares_memory(bench.i_rail.samples, bench.reference)
+    assert np.shares_memory(bench.q_rail.samples, bench.reference)
+    assert np.array_equal(bench.i_rail.samples + 1j * bench.q_rail.samples,
+                          bench.reference)
+    held = [a for art in (wh, None) for arrays in bench._predistorted(art)
+            for a in arrays]
+    assert len(held) == 8
+    for a in (bench.reference, bench.i_rail.samples, bench.q_rail.samples,
+              *held):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+
+
+def test_evaluate_rejects_an_unknown_block_type():
+    art = DpdArtifact(WhModel([FirBlock.identity(3), "cubic"]), {}, 0.0, 1)
+    with pytest.raises(TypeError, match="unknown block type str"):
+        Workbench(tiny_cfg()).evaluate(art, 0.5)
 
 
 @pytest.mark.parametrize("peak", [0.0, -1.0, float("inf"), float("nan")])
@@ -843,6 +1001,17 @@ def test_matched_rms_comparison_stops_at_the_first_match():
     res = matched_rms_comparison(tiny_cfg(channel=paper_like_preset()),
                                  drive=0.9, rms_tol_db=100.0)
     assert res["wh_v_in"] == 0.9
+
+
+def test_matched_rms_gap_is_in_db_of_amplitude(monkeypatch):
+    calls = _count_dpd(monkeypatch)
+    res = matched_rms_comparison(tiny_cfg(channel=paper_like_preset()),
+                                 drive=0.9, rms_tol_db=0.05)
+    assert res["rms_gap_db"] == 20.0 * math.log10(res["wh_out_rms"]
+                                                  / res["linear_out_rms"])
+    assert abs(res["rms_gap_db"]) <= 0.05 and res["wh_v_in"] != 0.9
+    # each artifact is pre-distorted once, however many drives it bisects
+    assert len(calls) == 4
 
 
 def test_matched_rms_comparison_raises_when_unmatched():

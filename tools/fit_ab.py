@@ -30,12 +30,18 @@ default 8192, 65536 and 2048, with K1 = K2 = 15, 401 and 15; other sizes
 take K = 15). Each run builds a Workbench on the paper-like channel, takes a
 WH fit of ``--iterations`` steps (default 50) at drive 0.9, then makes
 ten rounds of evaluations without and with that DPD at drives 0.6, 0.9 and
-1.3. It reports its mean and its fastest evaluation, and a SHA-256
-digest of every evaluation's SNR, output RMS and PAPR as float hex. The
-tool prints, per size and side, the median and quartiles of the runs' mean,
-the fastest evaluation of all runs, and the digests. The run uses only
-``Workbench``, ``ExperimentConfig``, ``FitConfig`` and ``paper_like_preset``,
-so it runs on older trees too.
+1.3. It reports its mean evaluation, the mean of the first evaluation of
+each artifact in a round (cold: the artifact differs from the one before)
+and of the two that repeat it (held), its fastest evaluation, and a SHA-256
+digest of every evaluation's SNR, output RMS and PAPR as float hex. At each
+size a second case times a raw ``sweep_amplitude_with_fixed_dpd`` of that
+fit over drives 0.9 to 1.3 in steps of 0.1, as the stress workload runs
+it, ten times, with a digest of its report rows. The tool prints, per case
+and side, the median and quartiles of the runs' means, the fastest
+evaluation or sweep of all runs, and the digests. The runs use only
+``Workbench``, ``ExperimentConfig``, ``FitConfig``,
+``sweep_amplitude_with_fixed_dpd`` and ``paper_like_preset``, so they run
+on older trees too.
 """
 
 import argparse
@@ -90,27 +96,44 @@ print(json.dumps({"time": per_step * 1e6, "digest": h.hexdigest(),
 """
 
 EVALUATE = IMPORT + r"""
-from whdpd.experiment import ExperimentConfig, Workbench
+from whdpd.experiment import (ExperimentConfig, Workbench,
+                              sweep_amplitude_with_fixed_dpd)
 from whdpd.learn import FitConfig
 from whdpd.txsim import paper_like_preset
-n_symbols, k, iterations, rounds = map(int, sys.argv[2:6])
+sweep, n_symbols, k, iterations, rounds = map(int, sys.argv[2:7])
 cfg = ExperimentConfig(n_symbols=n_symbols, k1=k, k2=k,
                        channel=paper_like_preset(),
-                       fit=FitConfig(iterations=iterations))
+                       fit=FitConfig(iterations=iterations),
+                       amplitudes=(0.9, 1.0, 1.1, 1.2, 1.3))
 bench = Workbench(cfg)
 artifact = bench.train(0.9)
-times = []
 h = hashlib.sha256()
+def record(m):
+    h.update(" ".join(float(m[key]).hex() for key in
+                      ("snr_db", "out_rms", "papr_db")).encode())
+cold, held = [], []
 for _ in range(rounds):
+    if sweep:
+        # timed whole: its first evaluation is cold, the other four held
+        t = time.perf_counter()
+        rows = sweep_amplitude_with_fixed_dpd(cfg, artifact).rows
+        cold.append(time.perf_counter() - t)
+        for m in rows:
+            record(m)
+        continue
     for art in (None, artifact):
-        for v in (0.6, 0.9, 1.3):
+        for i, v in enumerate((0.6, 0.9, 1.3)):
             t = time.perf_counter()
             m = bench.evaluate(art, v)
-            times.append(time.perf_counter() - t)
-            h.update(" ".join(float(m[key]).hex() for key in
-                              ("snr_db", "out_rms", "papr_db")).encode())
-print(json.dumps({"time": sum(times) / len(times) * 1e3,
-                  "min": min(times) * 1e3, "digest": h.hexdigest()}))
+            (held if i else cold).append(time.perf_counter() - t)
+            record(m)
+def mean_ms(times):
+    return sum(times) / len(times) * 1e3
+out = {"time": mean_ms(cold + held), "min": min(cold + held) * 1e3,
+       "digest": h.hexdigest()}
+if held:
+    out.update(cold=mean_ms(cold), held=mean_ms(held))
+print(json.dumps(out))
 """
 
 
@@ -150,11 +173,14 @@ def main(argv=None):
         p.error("quartiles need --pairs >= 2; --iterations and --sizes "
                 "must be >= 1")
     if args.evaluate:
-        cases = {f"{n} symbols, K = {EVAL_SIZES.get(n, K)}, evaluate after "
-                 f"a {iterations}-step fit, {ROUNDS} rounds":
-                 (EVALUATE, n, EVAL_SIZES.get(n, K), iterations, ROUNDS)
-                 for n in sizes}
-        unit, digest = "ms/evaluation", "evaluation digest"
+        cases = {f"{n} symbols, K = {EVAL_SIZES.get(n, K)}, "
+                 f"{what} after a {iterations}-step fit, {ROUNDS} rounds":
+                 (EVALUATE, sweep, n, EVAL_SIZES.get(n, K), iterations,
+                  ROUNDS)
+                 for n in sizes
+                 for sweep, what in enumerate(("evaluate",
+                                               "raw 5-drive fixed sweep"))}
+        unit, digest = "ms", "digest"
     else:
         cases = {f"N = {n}, K = {K}, {mode} fit, {iterations} steps":
                  (RUN, n, K, iterations, MODES[mode])
@@ -181,6 +207,11 @@ def main(argv=None):
             print(f"  {side:6s} {med:8.3f} {unit} [{q1:.3f}, {q3:.3f}]"
                   f"{fastest}  {digest} "
                   f"{', '.join(d[:16] for d in digests)}")
+            for part in ("cold", "held"):
+                if part in at[side][0]:
+                    med, q1, q3 = quartiles([r[part] for r in at[side]])
+                    print(f"    {part} {med:8.3f} {unit} "
+                          f"[{q1:.3f}, {q3:.3f}]")
     if args.json:
         args.json.write_text(json.dumps(runs, indent=1) + "\n")
 
