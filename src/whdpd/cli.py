@@ -13,6 +13,7 @@ import numbers
 import sys
 import warnings
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -152,7 +153,7 @@ def cmd_simulate(args):
     else:
         channel = _read(args.channel, channel_from_dict)
     if args.seed is not None:
-        channel.seed = args.seed
+        channel = replace(channel, seed=args.seed)
     with warnings.catch_warnings():
         # numpy warns of an empty file, which is rejected below
         warnings.simplefilter("ignore", UserWarning)

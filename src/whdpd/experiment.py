@@ -97,15 +97,20 @@ def _fmt(v):
     return v
 
 
-def scale_to_peak(samples, peak):
+def _gain(peak, m):
+    """peak / m, the factor that takes a signal whose peak |.| is m to the
+    drive amplitude peak."""
     # written so that NaN fails it
     if not 0 < peak < math.inf:
         raise ValueError(f"drive amplitude must be > 0 and finite, got "
                          f"{peak!r}")
-    m = float(np.max(np.abs(samples)))
     if m == 0:
         raise ValueError("cannot scale an all-zero signal")
-    return samples * (peak / m)
+    return peak / m
+
+
+def scale_to_peak(samples, peak):
+    return samples * _gain(peak, float(np.max(np.abs(samples))))
 
 
 def _complex(re, im):
@@ -122,14 +127,15 @@ class Workbench:
     the last evaluation, and runs single sweep points.
 
     The I and Q rails are views of the complex reference. An evaluation
-    pre-distorts both rails (the plain rails without an artifact) and
-    takes each one's conjugate spectrum, which synchronize correlates the
-    captures against; none of that depends on the drive. The Workbench
-    holds it, read-only, for the last artifact it evaluated, keyed by
-    learn.dpd_key: the artifact's layout, coefficient bits and stored
-    amplitudes, not its identity. So a drive sweep with one artifact
-    pre-distorts once, and an artifact edited in place, or another one,
-    is pre-distorted afresh.
+    pre-distorts both rails into the rows of one (2, N) array (without an
+    artifact, a view of the rails), and takes its peak, which the drive
+    scales, and each row's conjugate spectrum, which synchronize
+    correlates the captures against; none of that depends on the drive.
+    The Workbench holds it, read-only, for the last artifact it
+    evaluated, keyed by learn.dpd_key: the artifact's layout, coefficient
+    bits and stored amplitudes, not its identity. So a drive sweep with
+    one artifact pre-distorts once, and an artifact edited in place, or
+    another one, is pre-distorted afresh.
     """
 
     def __init__(self, cfg):
@@ -146,7 +152,8 @@ class Workbench:
         self.q_rail = q_rail.with_samples(self.reference.imag)
         # (channel seed, N) -> that seed's standard-normal draw of N samples
         self._normals = {}
-        # (dpd_key, pre-distorted [I, Q] rails, their conjugate spectra)
+        # (dpd_key, the pre-distorted I and Q rails as the rows of one
+        # (2, N) array, its peak |.|, the rows' conjugate spectra)
         self._held = None
 
     def _normal(self, seed, n):
@@ -181,20 +188,23 @@ class Workbench:
 
     def _predistorted(self, artifact):
         """The pre-distorted I and Q rails for artifact (the rails
-        themselves for None) and their conjugate spectra: the held ones
-        when the artifact's key is the held key, else formed and held in
-        their place."""
+        themselves for None) as the rows of one (2, N) array, its peak |.|
+        and the rows' conjugate spectra: the held ones when the artifact's
+        key is the held key, else formed and held in their place."""
         key = dpd_key(artifact)
         if self._held is None or self._held[0] != key:
             # dropped first, so that a failing apply_dpd leaves none held
             self._held = None
-            pair = [r.samples if artifact is None
-                    else apply_dpd(artifact, r).samples
-                    for r in (self.i_rail, self.q_rail)]
+            if artifact is None:
+                # the rails, as a view of the reference: no copy is held
+                pair = self.reference.view(np.float64).reshape(-1, 2).T
+            else:
+                pair = np.stack([apply_dpd(artifact, r).samples
+                                 for r in (self.i_rail, self.q_rail)])
             spectra = [np.conj(f, out=f) for f in map(np.fft.rfft, pair)]
-            for a in pair + spectra:
+            for a in (pair, *spectra):
                 a.flags.writeable = False
-            self._held = key, pair, spectra
+            self._held = key, pair, float(np.max(np.abs(pair))), spectra
         return self._held[1:]
 
     def evaluate(self, artifact, v_in):
@@ -203,9 +213,10 @@ class Workbench:
         aligned to the unscaled pre-distorted rails, whose held spectra
         serve every drive: a reference's scale moves neither the
         correlation peak nor its normalized height."""
-        pair, spectra = self._predistorted(artifact)
+        pair, peak, spectra = self._predistorted(artifact)
         rails = (self.i_rail, self.q_rail)
-        z = scale_to_peak(np.stack(pair), v_in)
+        # each scaled rail contiguous, also from the view of the reference
+        z = np.multiply(pair, _gain(v_in, peak), order="C")
         papr = papr_db(_complex(*z))
         out = [self._channel_fn(o)(rail.with_samples(z[o]))
                for o, rail in enumerate(rails)]

@@ -10,13 +10,21 @@ checks against finite differences hold to machine precision.
 
 The forward map and its input adjoint run as blocked-Toeplitz matrix
 products (convolution lowered to GEMM): the zero-padded input is cut into
-rows of b samples, and each row of output is that row, plus the first K-1
-samples of the next, times one banded (b+K-1) x b matrix of the taps. BLAS
+rows of b samples, and each row of output is that row and the K-1 samples
+after it times one banded (b+K-1) x b matrix of the taps. The band is cut
+into m blocks of b rows, the last one shorter, so each row of output is
+the sum over j of the input row j rows on, cut to block j's height, times
+block j: m GEMMs whose left operands are views of the input. Each output
+sample costs b+K-1 multiply-adds, of which K are taps, so b is kept near
+K-1 until it reaches B, and past that the band is cut into more blocks:
+for K-1 <= B there are two blocks of b = max(K-1, 16) rows, and at K = 401
+three of 200 (600 multiply-adds per sample, not the 800 of b = 400). BLAS
 then does the O(NK) work in large multiply-adds; np.convolve issues one
 K-long dot product per output sample. The tap adjoint multiplies the same
 rows of the input by the rows of the output gradient and sums the K
 diagonals of the small product. With K in the hundreds, the last bits of a
-GEMM result depend on how many threads BLAS splits it over.
+GEMM result depend on how many threads BLAS splits it over, and on how the
+band is cut into blocks.
 
 Frames: a signal's rows are views of a Frame, a zero-filled buffer with
 K-1 zeros in front of the samples, so for any centre offset the rows are
@@ -30,13 +38,15 @@ the product that the kernel forms its forward output (or input gradient)
 in, and shares a Work of the buffers that the other GEMM products are
 written into with the other frames of its shape.
 
-Threads: OpenBLAS splits a dot product longer than 10 000 samples, or a
+Threads: OpenBLAS may split a dot product longer than 10 000 samples, or a
 GEMM above 2^18 multiply-adds, over its threads, and its idle threads spin
-between calls. A fit step at the paper point makes dozens of products of
+between calls. Whether a larger GEMM splits is its own choice: on a 2-core
+Xeon with OpenBLAS 0.3.31 some 400 x 400 GEMMs (6.4e7 multiply-adds) stayed
+on one thread. A fit step at the paper point makes dozens of products of
 a few microseconds each; split, they would keep a second core spinning and
 make the fit several times slower whenever anything else runs on the
-machine. At N = 16384 and K = 15 every product here stays on one thread:
-each GEMM is at most 2^18 multiply-adds, and inner() sums in numpy.
+machine. At N = 16384 and K = 15 every product here stays below those
+sizes: each GEMM is at most 2^18 multiply-adds, and inner() sums in numpy.
 """
 
 import ctypes
@@ -72,6 +82,11 @@ def _recycle_freed_arrays():
 
 _recycle_freed_arrays()
 
+# the most rows of a band block, and so samples of a row, once K-1
+# exceeds it (see Frame); of 100 to 800, 200 was the fastest at K = 401
+# and K = 801 with N = 131072
+B = 200
+
 
 def aligned(n, lead=0):
     """An empty float64 array of n values whose value at index lead starts
@@ -86,23 +101,30 @@ def aligned(n, lead=0):
 class Frame:
     """N samples inside a zero-filled buffer, laid out for K-tap filters.
 
-    The buffer holds K-1 zeros, the samples, and zeros up to whole rows of
-    b = max(K-1, 16) samples; the samples start on a 64-byte boundary (see
-    aligned). For a centre offset c in [0, K-1] the kernels read the
-    samples with K-1-c zeros in front, row by row, each row with the K-1
-    samples after it, as views of the buffer (rows). Only samples is ever
-    written, so the margins stay zero. The frame keeps the rows it
-    has cut, and the band matrix of the last filter applied to it (band).
-    out and work are None unless a fit's plan sets them: then out is a
-    product of the frame's own (see product), and _fir writes its first
-    product into it and adds the second, in work (a Work), to its first N
-    samples, which it returns.
+    The band matrix of a K-tap filter, (b+K-1) x b, is cut into m = d+1
+    blocks of b rows, the last one shorter: d = ceil((K-1)/B), at least 1,
+    blocks hold its last K-1 rows, b = ceil((K-1)/d), and b is at least
+    16, so for K-1 <= B there are two blocks of b = max(K-1, 16) rows.
+    The buffer holds K-1 zeros, the samples, and zeros up to whole rows
+    of b samples and d rows more; the samples start on a 64-byte boundary
+    (see aligned). For a centre offset c in [0, K-1] the kernels read the
+    samples with K-1-c zeros in front as m row blocks, the j-th shifted
+    by j rows and cut to the height of the band's block j, each a view of
+    the buffer (rows). Only samples is ever written, so the margins stay
+    zero. The frame keeps the rows it has cut, and the band matrix of the
+    last filter applied to it (band). out and work are None unless a
+    fit's plan sets them: then out is a product of the frame's own (see
+    product), and _fir writes its first product into it and adds each
+    other, formed in work (a Work), to its first N samples, which it
+    returns.
     """
 
     def __init__(self, n, k):
-        self.k, self.b = k, max(k - 1, 16)
+        d = max(-(-(k - 1) // B), 1)
+        self.k, self.m = k, d + 1
+        self.b = max(-(-(k - 1) // d), 16)
         self.nb = -(-n // self.b)
-        self.buf = aligned(k - 1 + (self.nb + 1) * self.b, k - 1)
+        self.buf = aligned(k - 1 + (self.nb + d) * self.b, k - 1)
         self.buf.fill(0.0)
         self.samples = self.buf[k - 1:k - 1 + n]
         self._cuts = {}
@@ -125,8 +147,9 @@ class Frame:
         return self
 
     def rows(self, c):
-        """The rows of the samples with K-1-c zeros in front, and the K-1
-        samples after each row, as views of the buffer that BLAS takes
+        """The m row blocks of the samples with K-1-c zeros in front: block
+        j holds, for each row r, the first b+K-1-j*b samples (all b but in
+        the last block) of row r+j, as a view of the buffer that BLAS takes
         without a copy."""
         cut = self._cuts.get(c)
         if cut is None:
@@ -134,15 +157,15 @@ class Frame:
         return cut
 
     def _cut(self, c):
-        b, nb = self.b, self.nb
-        seg = self.buf[c:c + (nb + 1) * b]
-        return (seg.reshape(nb + 1, b)[:-1],
-                seg[b:].reshape(nb, b)[:, :self.k - 1])
+        b, nb, k = self.b, self.nb, self.k
+        seg = self.buf[c:c + (nb + self.m - 1) * b]
+        return [seg[j * b:(j + nb) * b].reshape(nb, b)[:, :b + k - 1 - j * b]
+                for j in range(self.m)]
 
     def band(self, h):
         """t[j, i] = h[K-1-(j-i)] on the band 0 <= j-i <= K-1, zero
         elsewhere: a (b+K-1) x b strided view of the padded reversed taps,
-        returned as its rows [:b] and [b:]; the frame keeps the buffer and
+        returned as its m blocks of b rows; the frame keeps the buffer and
         the views, and refills the buffer with h."""
         if self._band is None:
             self._band = self._views()
@@ -156,18 +179,18 @@ class Frame:
                        (hp.itemsize, -hp.itemsize))
         # the taps sit reversed at hp[b-1:b-1+K]
         self._taps = hp[b - 1:b - 1 + k][::-1]
-        return t[:b], t[b:]
+        return [t[j * b:(j + 1) * b] for j in range(self.m)]
 
 
 class Work:
     """The buffers that the FIR kernels' GEMM products on frames of one
     shape are written into, shared by a fit's frames of that shape: _fir's
-    second product (see Frame.product) and fir_grad_taps' product (see
-    _taps_product)."""
+    products after the first (see Frame.product) and fir_grad_taps'
+    product (see _taps_product)."""
 
     def __init__(self, frame):
         self.second = frame.product()
-        self.taps = _taps_product(frame.b, frame.k)
+        self.taps = _taps_product(frame)
 
 
 def _frame(x, k):
@@ -185,18 +208,20 @@ def _fir(x, h, c):
     [0, N), for any N >= 1, K >= 1 and 0 <= c <= K-1; formed in the
     frame's out if it has one."""
     f = _frame(x, len(h))
-    rows, tails = f.rows(c)
-    top, bottom = f.band(h)
-    # row r of output: [row r, its tail] @ t, split at b
+    rows, band = f.rows(c), f.band(h)
+    # row r of output: sum over j of block j of row r+j @ block j of t
     if f.out is None:
-        y = rows @ top
-        y += tails @ bottom
+        y = rows[0] @ band[0]
+        for j in range(1, f.m):
+            y += rows[j] @ band[j]
         return y.ravel()[:len(f)]
     a, a_n = f.out
     second, second_n = f.work.second
-    np.matmul(rows, top, out=a)
-    np.matmul(tails, bottom, out=second)
-    return np.add(a_n, second_n, out=a_n)
+    np.matmul(rows[0], band[0], out=a)
+    for j in range(1, f.m):
+        np.matmul(rows[j], band[j], out=second)
+        np.add(a_n, second_n, out=a_n)
+    return a_n
 
 
 def fir_same(x, h):
@@ -213,27 +238,29 @@ def fir_grad_input(g, h):
 def fir_grad_taps(g, x, k):
     """Adjoint of fir_same w.r.t. the taps: gh[j] = sum_i g[i] x[i+c-j].
 
-    With g and x cut into the same rows of b samples as in _fir,
-    a = sum_r g_r^T [x_r, first K-1 of x_(r+1)] is one (b, b+K-1)
-    product, and gh[K-1-d] is the sum of its d-th upper diagonal.
+    With g and x cut into the same rows of b samples as in _fir, a =
+    sum_r g_r^T [x_r, x_(r+1), ...], each x row block cut as in
+    Frame.rows, is one (b, b+K-1) product, formed as m GEMMs, one per
+    block of its columns; gh[K-1-d] is the sum of its d-th upper diagonal.
     """
     fx = _frame(x, k)
-    rows, tails = fx.rows(k // 2)
     gt = _frame(g, k).rows(k - 1)[0].T
-    left, right, diagonals = (_taps_product(fx.b, k) if fx.work is None
-                              else fx.work.taps)
-    np.matmul(gt, rows, out=left)
-    np.matmul(gt, tails, out=right)
+    cols, diagonals = _taps_product(fx) if fx.work is None else fx.work.taps
+    for rows, a in zip(fx.rows(k // 2), cols):
+        np.matmul(gt, rows, out=a)
     return np.add.reduce(diagonals, axis=0)[::-1]
 
 
-def _taps_product(b, k):
-    """An empty (b, b+K-1) product a, as its columns [:b] and [b:] and the
-    view of its K upper diagonals: a[i, i+d] sits at i*(b+K) + d, so row i
-    of the view holds a[i, i:i+K]."""
+def _taps_product(frame):
+    """An empty (b, b+K-1) product a for a frame's b and K, as its m blocks
+    of b columns (the last one shorter) and the view of its K upper
+    diagonals: a[i, i+d] sits at i*(b+K) + d, so row i of the view holds
+    a[i, i:i+K]."""
+    b, k = frame.b, frame.k
     a = np.empty((b, b + k - 1))
-    return a[:, :b], a[:, b:], np.ndarray((b, k), np.float64, a, 0,
-                                          (a.itemsize * (b + k), a.itemsize))
+    return ([a[:, j * b:(j + 1) * b] for j in range(frame.m)],
+            np.ndarray((b, k), np.float64, a, 0,
+                       (a.itemsize * (b + k), a.itemsize)))
 
 
 def inner(a, b):

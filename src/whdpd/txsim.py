@@ -10,6 +10,7 @@ amplifier is the arctan saturation model while the DPD nonlinearity stays
 cubic, keeping the same model mismatch the lab experiment had.
 """
 
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -23,6 +24,12 @@ def _check_positive(spec, name):
     if not 0 < getattr(spec, name) < np.inf:
         raise ValueError(f"{name} must be > 0 and finite, got "
                          f"{getattr(spec, name)!r}")
+
+
+def _check_integer(spec, name):
+    value = getattr(spec, name)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_finite(spec, name):
@@ -77,8 +84,13 @@ class TxChannel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.dac_bits is not None and not 1 <= self.dac_bits <= 16:
-            raise ValueError("dac_bits must be in [1, 16]")
+        if self.dac_bits is not None:
+            _check_integer(self, "dac_bits")
+            if not 1 <= self.dac_bits <= 16:
+                raise ValueError("dac_bits must be in [1, 16]")
+        _check_integer(self, "seed")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         _check_positive(self, "dac_full_scale")
         if self.noise_snr_db is not None:
             _check_finite(self, "noise_snr_db")

@@ -364,13 +364,41 @@ def test_held_arrays_and_the_rails_are_read_only(trained):
     assert np.shares_memory(bench.q_rail.samples, bench.reference)
     assert np.array_equal(bench.i_rail.samples + 1j * bench.q_rail.samples,
                           bench.reference)
-    held = [a for art in (wh, None) for arrays in bench._predistorted(art)
-            for a in arrays]
-    assert len(held) == 8
+    held = [a for art in (wh, None)
+            for pair, _, spectra in [bench._predistorted(art)]
+            for a in (pair, *pair, *spectra)]
+    assert len(held) == 10
     for a in (bench.reference, bench.i_rail.samples, bench.q_rail.samples,
               *held):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0
+
+
+def test_held_entry_is_one_stacked_pair_with_its_peak(monkeypatch, trained):
+    # the rails are stacked and their peak reduced once per artifact, not
+    # on every drive
+    cfg, arts = trained
+    bench = Workbench(cfg)
+    n = bench.reference.size
+    for art in arts:
+        bench.evaluate(art, 0.7)
+        pair, peak, _ = bench._predistorted(art)
+        assert pair.shape == (2, n)
+        # without an artifact the rails are held as a view, not a copy
+        assert np.shares_memory(pair, bench.reference) == (art is None)
+        assert peak == float(np.max(np.abs(pair)))
+        for row, rail in zip(pair, (bench.i_rail, bench.q_rail)):
+            want = (rail.samples if art is None
+                    else learn.apply_dpd(art, rail).samples)
+            assert np.array_equal(row, want)
+        stacks = []
+        real = np.stack
+        monkeypatch.setattr(np, "stack", lambda *a, **k: stacks.append(a)
+                            or real(*a, **k))
+        got = bench.evaluate(art, 1.2)
+        monkeypatch.setattr(np, "stack", real)
+        assert stacks == []
+        assert got == _evaluate_unheld(bench, art, 1.2)
 
 
 def test_evaluate_rejects_an_unknown_block_type():
@@ -627,6 +655,49 @@ def test_cli_names_the_file_it_cannot_read(tmp_path, capsys, command, doc,
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert str(path) in err and key in err
+
+
+@pytest.mark.parametrize("where", ["channel-file", "config-channel"])
+@pytest.mark.parametrize("field, value, message", [
+    ("dac_bits", 8.5, "dac_bits must be an integer, got 8.5"),
+    ("dac_bits", True, "dac_bits must be an integer, got True"),
+    ("seed", True, "seed must be an integer, got True"),
+    ("seed", 1.5, "seed must be an integer, got 1.5"),
+    ("seed", -1, "seed must be >= 0, got -1"),
+], ids=["dac_bits-float", "dac_bits-bool", "seed-bool", "seed-float",
+        "seed-negative"])
+def test_cli_rejects_a_bad_channel_integer(tmp_path, capsys, where, field,
+                                           value, message):
+    doc = channel_to_dict(paper_like_preset())
+    doc["channel"][field] = value
+    out = tmp_path / "out"
+    if where == "channel-file":
+        path = tmp_path / "channel.json"
+        path.write_text(json.dumps(doc))
+        wave = tmp_path / "in.csv"
+        np.savetxt(wave, np.zeros(8))
+        argv = ["simulate", "--channel", str(path), "--input", str(wave),
+                "--output", str(out)]
+    else:
+        path = write_config(tmp_path / "cfg.json", channel=doc["channel"])
+        argv = ["sweep", "--config", str(path), "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    if where == "channel-file":
+        assert str(path) in err
+    assert not out.exists()
+
+
+def test_cli_simulate_rejects_a_negative_seed(tmp_path, capsys):
+    wave = tmp_path / "in.csv"
+    np.savetxt(wave, np.zeros(8))
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "--preset", "paper-like", "--seed", "-1",
+                 "--input", str(wave), "--output", str(out)]) == 1
+    assert capsys.readouterr().err == ("config error: seed must be >= 0, "
+                                       "got -1\n")
+    assert not out.exists()
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -210,11 +210,13 @@ def test_fir_adjoints_all_shapes(n, k, seed):
     assert np.dot(h, gh) == pytest.approx(y, abs=1e-10)
 
 
-@pytest.mark.parametrize("k", (1, 2, 15, 16, 17, 80, 401))
+@pytest.mark.parametrize("k", (1, 2, 15, 16, 17, 80, 200, 201, 202, 401,
+                               402, 801))
 @pytest.mark.parametrize("n", (1, 15, 16, 17, 31, 33, 1000))
 def test_fir_kernels_match_direct_convolution(n, k):
     # the blocked-GEMM kernels against the full convolution they window;
-    # the sizes straddle the block length max(K-1, 16) and include K > N
+    # the sizes straddle the block length max(K-1, 16) and include K > N,
+    # and the K past B + 1 run on more than two row blocks
     rng = np.random.default_rng(1000 * n + k)
     x, g, h = rng.normal(size=n), rng.normal(size=n), rng.normal(size=k)
     c = k // 2
@@ -227,7 +229,8 @@ def test_fir_kernels_match_direct_convolution(n, k):
                                    atol=1e-12 * np.max(np.abs(ref)))
 
 
-@pytest.mark.parametrize("k", (1, 2, 15, 16, 17, 80, 401))
+@pytest.mark.parametrize("k", (1, 2, 15, 16, 17, 80, 200, 201, 202, 401,
+                               402, 801))
 @pytest.mark.parametrize("n", (1, 15, 16, 17, 31, 33, 1000, 16384))
 def test_fir_grad_taps_matches_direct_correlation(n, k):
     # gh[j] = sum_i g[i] x[i+c-j] over the i where x is defined, one slice
@@ -246,49 +249,65 @@ def test_fir_grad_taps_matches_direct_correlation(n, k):
                                atol=1e-12 * np.max(np.abs(ref)))
 
 
+def _blocks(k):
+    """(b, m): the band of K taps as m blocks of b rows, the last one
+    shorter; d = ceil((K-1)/B) blocks of b = ceil((K-1)/d) >= 16 rows hold
+    its last K-1 rows."""
+    d = max(-(-(k - 1) // kernels.B), 1)
+    return max(-(-(k - 1) // d), 16), d + 1
+
+
 def _padded_rows(x, k, c):
-    """x copied behind K-1-c zeros and cut into rows of b = max(K-1, 16)
-    samples: (b, the rows that cover x, the K-1 samples after each row)."""
-    b = max(k - 1, 16)
+    """x copied behind K-1-c zeros and cut into rows of b samples: (b, the
+    m row blocks; block j holds the first b+K-1-j*b samples of the rows
+    from row j on)."""
+    b, m = _blocks(k)
     nb = -(-len(x) // b)
-    xp = np.zeros((nb + 1) * b)
+    xp = np.zeros((nb + m - 1) * b)
     xp[k - 1 - c:k - 1 - c + len(x)] = x
-    return b, xp.reshape(nb + 1, b)[:-1], xp[b:].reshape(nb, b)[:, :k - 1]
+    return b, [xp[j * b:(j + nb) * b].reshape(nb, b)[:, :b + k - 1 - j * b]
+               for j in range(m)]
 
 
 def _reference_fir(x, h, c):
     # the kernels' products, on rows of a padded copy of x
     k = len(h)
-    b, rows, tails = _padded_rows(x, k, c)
+    b, rows = _padded_rows(x, k, c)
     hp = np.zeros(2 * b + k - 2)
     hp[b - 1:b - 1 + k] = h[::-1]
     t = np.ndarray((b + k - 1, b), np.float64, hp, hp.itemsize * (b - 1),
                    (hp.itemsize, -hp.itemsize))
-    y = rows @ t[:b]
-    y += tails @ t[b:]
+    y = rows[0] @ t[:b]
+    for j in range(1, len(rows)):
+        y += rows[j] @ t[j * b:(j + 1) * b]
     return y.ravel()[:len(x)]
 
 
 def _reference_grad_taps(g, x, k):
-    b, rows, tails = _padded_rows(x, k, k // 2)
-    gt = _padded_rows(g, k, k - 1)[1].T
+    b, rows = _padded_rows(x, k, k // 2)
+    gt = _padded_rows(g, k, k - 1)[1][0].T
     a = np.empty((b, b + k - 1))
-    np.matmul(gt, rows, out=a[:, :b])
-    np.matmul(gt, tails, out=a[:, b:])
+    for j, r in enumerate(rows):
+        np.matmul(gt, r, out=a[:, j * b:(j + 1) * b])
     diagonals = np.ndarray((b, k), np.float64, a, 0,
                            (a.itemsize * (b + k), a.itemsize))
     return np.add.reduce(diagonals, axis=0)[::-1]
 
 
 @settings(max_examples=200, deadline=None)
-@given(n=st.integers(1, 64), k=st.integers(1, 40),
+@given(n=st.integers(1, 64), k=st.integers(1, 450),
        seed=st.integers(0, 2 ** 32 - 1))
 @example(n=1, k=2, seed=0)
 @example(n=3, k=40, seed=0)
+@example(n=64, k=201, seed=0)
+@example(n=64, k=202, seed=0)
+@example(n=5, k=401, seed=0)
+@example(n=64, k=450, seed=0)
 def test_fir_kernels_give_the_same_bits_on_frames(n, k, seed):
     # a frame serves every centre offset from one buffer; the kernels read
     # it without a copy, and on a frame or a plain array give the bits of
-    # the same products on a padded copy of the signal
+    # the same products on a padded copy of the signal, for K on either
+    # side of B + 1, where the band is cut into more than two blocks
     rng = np.random.default_rng(seed)
     x, g, h = rng.normal(size=n), rng.normal(size=n), rng.normal(size=k)
     fx, fg = kernels.Frame(n, k).hold(x), kernels.Frame(n, k).hold(g)
@@ -304,6 +323,22 @@ def test_fir_kernels_give_the_same_bits_on_frames(n, k, seed):
             for a, b in zip(got, want):
                 assert np.array_equal(a, b)
     assert not np.any(np.delete(fx.buf, np.arange(k - 1, k - 1 + n)))
+
+
+def test_frames_keep_two_blocks_up_to_b_plus_one_taps():
+    # every K <= B + 1 keeps the layout it had before the band was cut
+    # into row blocks of at most about B: two blocks of max(K-1, 16) rows
+    for k in range(1, kernels.B + 2):
+        frame = kernels.Frame(100, k)
+        assert (frame.b, frame.m) == (max(k - 1, 16), 2)
+    for k, b, m in ((kernels.B + 2, 101, 3), (401, 200, 3), (402, 134, 4),
+                    (801, 200, 5)):
+        frame = kernels.Frame(100, k)
+        assert (frame.b, frame.m) == (b, m) == _blocks(k)
+        assert [r.shape for r in frame.rows(k // 2)] == (
+            [(frame.nb, b)] * (m - 1) + [(frame.nb, k - 1 - (m - 2) * b)])
+        assert [t.shape for t in frame.band(np.ones(k))] == (
+            [(b, b)] * (m - 1) + [(k - 1 - (m - 2) * b, b)])
 
 
 def test_fir_kernels_reject_a_frame_for_other_taps():
@@ -696,6 +731,25 @@ def test_planned_fit_matches_the_unplanned_loop_bit_for_bit(name, n, lr_nl):
     assert pack(art.model).tobytes() == theta.tobytes()
     assert art.nl_input_amplitudes == amps
     assert art.final_loss == min(j for _, j, _ in history)
+
+
+@pytest.mark.parametrize("k1, k2", [(401, 241), (15, 801)])
+def test_planned_large_k_fit_matches_the_unplanned_loop_bit_for_bit(k1, k2):
+    # filters whose bands are cut into three to five row blocks; the plan's
+    # shared product takes each block's GEMM in turn
+    rng = np.random.default_rng(k1)
+    x = rng.normal(size=3000) * 0.5
+    noise = 0.01 * rng.normal(size=3000)
+    received, ref = sig(x), sig(x + 0.1 * x ** 3 + noise)
+    init = WhModel.lnl(k1, k2, a=0.01)
+    assert [kernels.Frame(1, b.taps.size).m for b in init.layers
+            if isinstance(b, FirBlock)] == [_blocks(k1)[1], _blocks(k2)[1]]
+    cfg = FitConfig(iterations=8, lr_taps=1e-3, lr_nl=1e-4, tol=1e-300)
+    art = fit_postestimator(received, ref, init, cfg)
+    history, theta, amps = reference_fit(received, ref, init, cfg)
+    assert art.history == history
+    assert pack(art.model).tobytes() == theta.tobytes()
+    assert art.nl_input_amplitudes == amps
 
 
 def test_fit_builds_its_frames_once(monkeypatch):

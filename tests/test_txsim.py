@@ -191,6 +191,26 @@ def test_dac_bits_validation():
         TxChannel(dac_bits=17)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("dac_bits", 8.5, "dac_bits must be an integer, got 8.5"),
+    ("dac_bits", 8.0, "dac_bits must be an integer, got 8.0"),
+    ("dac_bits", True, "dac_bits must be an integer, got True"),
+    ("seed", True, "seed must be an integer, got True"),
+    ("seed", 1.5, "seed must be an integer, got 1.5"),
+    ("seed", -1, "seed must be >= 0, got -1"),
+], ids=["dac_bits-float", "dac_bits-integral-float", "dac_bits-bool",
+        "seed-bool", "seed-float", "seed-negative"])
+def test_channel_rejects_a_bad_integer_field(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        TxChannel(**{field: value})
+
+
+def test_channel_integer_fields_accept_numpy_integers():
+    ch = TxChannel(dac_bits=np.int64(8), seed=np.uint32(3))
+    assert (ch.dac_bits, ch.seed) == (8, 3)
+    assert simulate_tx(ch, sig([0.1, -0.2])).samples.shape == (2,)
+
+
 def test_mzm_spec_validation():
     with pytest.raises(ValueError, match="v_pi must be > 0"):
         MzmSpec(v_pi=0)

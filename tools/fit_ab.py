@@ -4,10 +4,12 @@ another.
     python tools/fit_ab.py PARENT_SRC CHANGE_SRC
     python tools/fit_ab.py PARENT_SRC CHANGE_SRC --pairs 10 --iterations 500
     python tools/fit_ab.py PARENT_SRC CHANGE_SRC --sizes 4096 --pairs 20
+    python tools/fit_ab.py PARENT_SRC CHANGE_SRC --sizes 131072 --k 401
 
 PARENT_SRC and CHANGE_SRC are directories that hold a ``whdpd`` package
 (the ``src/`` of two checkouts). For each capture length N (``--sizes``,
-default 64, 4096 and 16384 samples; K1 = K2 = 15) and each fit mode, a WH
+default 64, 4096 and 16384 samples; K1 = K2 = ``--k``, default 15, and
+401 at the stress workload's point) and each fit mode, a WH
 fit and one with the cubic held at 0 (``lr_nl = 0``; the sweep's linear mode
 does not run Adam but solves for its filter, see ``learn.fit_linear``), the
 tool runs ``--pairs`` pairs of fresh interpreters, one per side,
@@ -27,7 +29,7 @@ two trees fit bit for bit alike. ``--json PATH`` also writes every run.
 ``--evaluate`` times ``Workbench.evaluate`` instead, by the same pairs of
 interpreters, at the benchmark workloads' sizes (``--sizes`` symbols,
 default 8192, 65536 and 2048, with K1 = K2 = 15, 401 and 15; other sizes
-take K = 15). Each run builds a Workbench on the paper-like channel, takes a
+take K = 15; ``--k`` sets K1 = K2 at every size). Each run builds a Workbench on the paper-like channel, takes a
 WH fit of ``--iterations`` steps (default 50) at drive 0.9, then makes
 ten rounds of evaluations without and with that DPD at drives 0.6, 0.9 and
 1.3. It reports its mean evaluation, the mean of the first evaluation of
@@ -163,27 +165,31 @@ def main(argv=None):
     p.add_argument("--sizes", type=int, nargs="+", metavar="N",
                    help="capture lengths, or symbol counts with --evaluate "
                    f"(default: {SIZES}, or {tuple(EVAL_SIZES)})")
+    p.add_argument("--k", type=int,
+                   help=f"taps of each FIR block, K1 = K2 (default: {K}, "
+                   "or with --evaluate the workload's K at each size)")
     p.add_argument("--json", type=Path, help="write every run here")
     args = p.parse_args(argv)
     iterations = args.iterations
     if iterations is None:
         iterations = 50 if args.evaluate else 500
     sizes = args.sizes or (EVAL_SIZES if args.evaluate else SIZES)
-    if args.pairs < 2 or min(iterations, *sizes) < 1:
-        p.error("quartiles need --pairs >= 2; --iterations and --sizes "
-                "must be >= 1")
+    if args.pairs < 2 or min(iterations, *sizes, args.k or K) < 1:
+        p.error("quartiles need --pairs >= 2; --iterations, --sizes and "
+                "--k must be >= 1")
     if args.evaluate:
-        cases = {f"{n} symbols, K = {EVAL_SIZES.get(n, K)}, "
+        ks = {n: args.k or EVAL_SIZES.get(n, K) for n in sizes}
+        cases = {f"{n} symbols, K = {ks[n]}, "
                  f"{what} after a {iterations}-step fit, {ROUNDS} rounds":
-                 (EVALUATE, sweep, n, EVAL_SIZES.get(n, K), iterations,
-                  ROUNDS)
+                 (EVALUATE, sweep, n, ks[n], iterations, ROUNDS)
                  for n in sizes
                  for sweep, what in enumerate(("evaluate",
                                                "raw 5-drive fixed sweep"))}
         unit, digest = "ms", "digest"
     else:
-        cases = {f"N = {n}, K = {K}, {mode} fit, {iterations} steps":
-                 (RUN, n, K, iterations, MODES[mode])
+        k = args.k or K
+        cases = {f"N = {n}, K = {k}, {mode} fit, {iterations} steps":
+                 (RUN, n, k, iterations, MODES[mode])
                  for n in sizes for mode in MODES}
         unit, digest = "us/step", "history digest"
     sides = {"parent": args.parent_src, "change": args.change_src}
