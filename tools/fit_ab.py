@@ -9,10 +9,10 @@ another.
 PARENT_SRC and CHANGE_SRC are directories that hold a ``whdpd`` package
 (the ``src/`` of two checkouts). For each capture length N (``--sizes``,
 default 64, 4096 and 16384 samples; K1 = K2 = ``--k``, default 15, and
-401 at the stress workload's point) and each fit mode, a WH
-fit and one with the cubic held at 0 (``lr_nl = 0``; the sweep's linear mode
-does not run Adam but solves for its filter, see ``learn.fit_linear``), the
-tool runs ``--pairs`` pairs of fresh interpreters, one per side,
+401 at the stress workload's point) and each fit mode, a WH fit and one
+with the cubic held at 0 (``lr_nl = 0``; the sweep's linear mode does not
+run Adam but solves for its filter, see ``learn.fit_linear``), the tool
+runs ``--pairs`` pairs of fresh interpreters, one per side,
 alternating which side runs first, so a host whose speed drifts slows both
 sides alike. Each run imports whdpd from its tree only, with one BLAS
 thread, fits a cubic distortion of a fixed random capture for 20 steps to
@@ -29,12 +29,13 @@ two trees fit bit for bit alike. ``--json PATH`` also writes every run.
 ``--evaluate`` times ``Workbench.evaluate`` instead, by the same pairs of
 interpreters, at the benchmark workloads' sizes (``--sizes`` symbols,
 default 8192, 65536 and 2048, with K1 = K2 = 15, 401 and 15; other sizes
-take K = 15; ``--k`` sets K1 = K2 at every size). Each run builds a Workbench on the paper-like channel, takes a
-WH fit of ``--iterations`` steps (default 50) at drive 0.9, then makes
-ten rounds of evaluations without and with that DPD at drives 0.6, 0.9 and
-1.3. It reports its mean evaluation, the mean of the first evaluation of
-each artifact in a round (cold: the artifact differs from the one before)
-and of the two that repeat it (held), its fastest evaluation, and a SHA-256
+take K = 15; ``--k`` sets K1 = K2 at every size). Each run builds a
+Workbench on the paper-like channel, takes a WH fit of ``--iterations``
+steps (default 50) at drive 0.9, then makes ten rounds of evaluations
+without and with that DPD at drives 0.6, 0.9 and 1.3. It reports its
+mean evaluation, the mean of the first evaluation of each artifact in a
+round (cold: the artifact differs from the one before) and of the two
+that repeat it (held), its fastest evaluation, and a SHA-256
 digest of every evaluation's SNR, output RMS and PAPR as float hex. At each
 size a second case times a raw ``sweep_amplitude_with_fixed_dpd`` of that
 fit over drives 0.9 to 1.3 in steps of 0.1, as the stress workload runs
