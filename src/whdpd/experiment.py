@@ -60,6 +60,8 @@ class ExperimentConfig:
         for name in ("n_symbols", "k1", "k2"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         amps = tuple(self.amplitudes)
         if not amps:
             raise ValueError("amplitudes must not be empty")

@@ -30,6 +30,15 @@ Frames: a signal's rows are views of a Frame, a zero-filled buffer with
 K-1 zeros in front of the samples, so for any centre offset the rows are
 cut without a copy. A kernel given a plain array frames it on entry, in a
 frame of that same layout used for the one call, and returns new arrays.
+
+Dtype: a kernel works in its signal's dtype, which for the FIR kernels is
+the frame's. A one-off frame of a float32 array is float32, and of any
+other array float64. Taps and polynomial coefficients are cast to the
+signal's dtype, since under numpy's promotion rules a float64 scalar
+times a float32 array gives float64. A fit frames its steps in FIT_DTYPE
+(float32), which halves the bytes its GEMMs move; everything outside a
+fit, and a fit's coefficients, gradient vector and optimizer state, stay
+float64.
 A fit builds one frame per FIR block's input and one per its output
 gradient, once (model.Plan): the capture is framed once, and a frame
 keeps its cut rows and its band matrix's buffer and views from step to
@@ -46,7 +55,8 @@ on one thread. A fit step at the paper point makes dozens of products of
 a few microseconds each; split, they would keep a second core spinning and
 make the fit several times slower whenever anything else runs on the
 machine. At N = 16384 and K = 15 every product here stays below those
-sizes: each GEMM is at most 2^18 multiply-adds, and inner() sums in numpy.
+sizes, in float64 and in float32 alike: each GEMM is at most 2^18
+multiply-adds, and inner() sums in numpy.
 """
 
 import ctypes
@@ -87,14 +97,20 @@ _recycle_freed_arrays()
 # and K = 801 with N = 131072
 B = 200
 
+# the dtype of a fit's frames, products and buffers (see model.Plan); its
+# coefficients, gradient vector and optimizer state stay float64
+FIT_DTYPE = np.float32
 
-def aligned(n, lead=0):
-    """An empty float64 array of n values whose value at index lead starts
+
+def aligned(n, lead=0, dtype=np.float64):
+    """An empty array of n values of dtype whose value at index lead starts
     on a 64-byte boundary, the width of an AVX-512 vector. numpy's vector
     loops then split no cache line from there on: at N = 4096 an
     elementwise product on aligned arrays takes about half the time."""
-    raw = np.empty(n + 7)
-    start = (-lead - raw.ctypes.data // 8) % 8
+    size = np.dtype(dtype).itemsize
+    line = 64 // size
+    raw = np.empty(n + line - 1, dtype)
+    start = (-lead - raw.ctypes.data // size) % line
     return raw[start:start + n]
 
 
@@ -107,7 +123,8 @@ class Frame:
     16, so for K-1 <= B there are two blocks of b = max(K-1, 16) rows.
     The buffer holds K-1 zeros, the samples, and zeros up to whole rows
     of b samples and d rows more; the samples start on a 64-byte boundary
-    (see aligned). For a centre offset c in [0, K-1] the kernels read the
+    (see aligned), in the frame's dtype, which every kernel run on the
+    frame works in. For a centre offset c in [0, K-1] the kernels read the
     samples with K-1-c zeros in front as m row blocks, the j-th shifted
     by j rows and cut to the height of the band's block j, each a view of
     the buffer (rows). Only samples is ever written, so the margins stay
@@ -119,12 +136,12 @@ class Frame:
     returns.
     """
 
-    def __init__(self, n, k):
+    def __init__(self, n, k, dtype=np.float64):
         d = max(-(-(k - 1) // B), 1)
         self.k, self.m = k, d + 1
         self.b = max(-(-(k - 1) // d), 16)
         self.nb = -(-n // self.b)
-        self.buf = aligned(k - 1 + (self.nb + d) * self.b, k - 1)
+        self.buf = aligned(k - 1 + (self.nb + d) * self.b, k - 1, dtype)
         self.buf.fill(0.0)
         self.samples = self.buf[k - 1:k - 1 + n]
         self._cuts = {}
@@ -137,7 +154,8 @@ class Frame:
     def product(self):
         """An empty aligned (nb, b) array for a product over the rows, and
         its first N samples."""
-        a = aligned(self.nb * self.b).reshape(self.nb, self.b)
+        a = aligned(self.nb * self.b, dtype=self.buf.dtype).reshape(
+            self.nb, self.b)
         return a, a.reshape(-1)[:len(self)]
 
     def hold(self, y):
@@ -166,7 +184,7 @@ class Frame:
         """t[j, i] = h[K-1-(j-i)] on the band 0 <= j-i <= K-1, zero
         elsewhere: a (b+K-1) x b strided view of the padded reversed taps,
         returned as its m blocks of b rows; the frame keeps the buffer and
-        the views, and refills the buffer with h."""
+        the views, and refills the buffer with h, cast to its dtype."""
         if self._band is None:
             self._band = self._views()
         self._taps[:] = h
@@ -174,8 +192,8 @@ class Frame:
 
     def _views(self):
         b, k = self.b, self.k
-        hp = np.zeros(2 * b + k - 2)
-        t = np.ndarray((b + k - 1, b), np.float64, hp, hp.itemsize * (b - 1),
+        hp = np.zeros(2 * b + k - 2, self.buf.dtype)
+        t = np.ndarray((b + k - 1, b), hp.dtype, hp, hp.itemsize * (b - 1),
                        (hp.itemsize, -hp.itemsize))
         # the taps sit reversed at hp[b-1:b-1+K]
         self._taps = hp[b - 1:b - 1 + k][::-1]
@@ -195,12 +213,13 @@ class Work:
 
 def _frame(x, k):
     """x as a frame for K taps: x itself if it is one, else a one-off frame
-    of the array."""
+    of the array, float32 for a float32 array and float64 for any other."""
     if isinstance(x, Frame):
         if x.k != k:
             raise ValueError(f"frame laid out for {x.k} taps, not {k}")
         return x
-    return Frame(len(x), k).hold(x)
+    dtype = np.float32 if x.dtype == np.float32 else np.float64
+    return Frame(len(x), k, dtype).hold(x)
 
 
 def _fir(x, h, c):
@@ -257,9 +276,9 @@ def _taps_product(frame):
     diagonals: a[i, i+d] sits at i*(b+K) + d, so row i of the view holds
     a[i, i:i+K]."""
     b, k = frame.b, frame.k
-    a = np.empty((b, b + k - 1))
+    a = np.empty((b, b + k - 1), frame.buf.dtype)
     return ([a[:, j * b:(j + 1) * b] for j in range(frame.m)],
-            np.ndarray((b, k), np.float64, a, 0,
+            np.ndarray((b, k), a.dtype, a, 0,
                        (a.itemsize * (b + k), a.itemsize)))
 
 
@@ -282,13 +301,16 @@ def powers(y, top, out=None):
 def poly_apply(y, orders, coeffs, out=None, p_out=None):
     """(y + sum_m a_m * y**m over the present orders, ascending and
     non-empty, and the powers p = powers(y, max order, p_out) it was formed
-    from); the last sum is formed in out, if given."""
+    from), with each a_m cast to y's dtype; the last sum is formed in out,
+    if given."""
     p = powers(y, orders[-1], p_out)
     res = y
     last = len(orders) - 1
+    # a float64 scalar would promote a float32 product to float64
+    cast = y.dtype.type
     for j, (m, a) in enumerate(zip(orders, coeffs)):
         # sums formed in place in the fresh term: one N-length array each
-        term = np.multiply(a, p[m - 1], out=out if j == last else None)
+        term = np.multiply(cast(a), p[m - 1], out=out if j == last else None)
         term += res
         res = term
     return res, p
@@ -296,12 +318,14 @@ def poly_apply(y, orders, coeffs, out=None, p_out=None):
 
 def poly_slope(p, orders, coeffs, out=None):
     """Elementwise derivative 1 + sum_m m * a_m * y**(m-1), given the powers
-    p = powers(y, top) with top >= max order - 1; the last sum is formed in
-    out, if given."""
+    p = powers(y, top) with top >= max order - 1, with each m * a_m cast to
+    y's dtype; the last sum is formed in out, if given."""
     s = 1.0
     last = len(orders) - 1
+    cast = p[0].dtype.type
     for j, (m, a) in enumerate(zip(orders, coeffs)):
-        term = np.multiply(m * a, p[m - 2], out=out if j == last else None)
+        term = np.multiply(cast(m * a), p[m - 2],
+                           out=out if j == last else None)
         term += s
         s = term
     return s

@@ -313,13 +313,19 @@ def fit_postestimator(received, reference, init, cfg):
 
     received must already be synchronized and RMS-matched to reference.
     Stops at the iteration budget or when the relative loss change over
-    TOL_WINDOW iterations drops below cfg.tol. Returns the best model
-    seen (so the final loss never exceeds the initial one), with the
-    amplitudes of a forward of that model. What the steps reuse (the
+    TOL_WINDOW iterations drops below cfg.tol. What the steps reuse (the
     layout, frames of the FIR blocks' inputs and gradients and the
     buffers that each step's arrays are formed in, see model.Plan) is
-    built once per fit.
+    built once per fit, and the steps run in its dtype,
+    kernels.FIT_DTYPE: the history holds their losses. Returns the model
+    of the step with the least of those losses (so, up to their rounding,
+    the final loss never exceeds the initial one), with the final loss and
+    the amplitudes of one float64 forward of that model, as apply_dpd runs
+    it.
     """
+    ref = _as_array(reference)
+    if ref.shape != received.samples.shape:
+        raise ValueError("output/reference length mismatch")
     model = init.copy()
     state = AdamState(model, lr_taps=cfg.lr_taps, lr_nl=cfg.lr_nl)
     # the state's theta is the fit's one coefficient store: the FIR taps
@@ -327,20 +333,19 @@ def fit_postestimator(received, reference, init, cfg):
     for block, part in zip(model.layers, state.parts):
         if isinstance(block, FirBlock):
             block.taps = part
-    plan = Plan(model, received.samples, state.layout, state.parts)
-    x = received.with_samples(plan.x_in)
-    n = x.samples.size
+    plan = Plan(model, received.samples, ref, state.layout, state.parts)
+    n = ref.size
     history = []
     best_loss, best_theta = np.inf, None
     for it in range(cfg.iterations):
-        out, inter = wh_forward(model, x, plan)
-        r = _residual(out, reference, plan.grads[-1])
+        out, inter = wh_forward(model, plan.x_in, plan)
+        r = _residual(out, plan.ref, plan.grads[-1])
         j = _energy(r) / n
         if not math.isfinite(j):
             raise TrainingDivergedError(it)
         if j < best_loss:
-            best_loss, best_theta, best_it = j, state.theta.copy(), it
-        grads = wh_backward(model, inter, reference, residual=r, plan=plan)
+            best_loss, best_theta = j, state.theta.copy()
+        grads = wh_backward(model, inter, plan.ref, residual=r, plan=plan)
         history.append((it, j, grads.norm()))
         adam_step(state, model, grads)
         if it >= TOL_WINDOW:
@@ -349,14 +354,12 @@ def fit_postestimator(received, reference, init, cfg):
                 break
     state.theta[:] = best_theta
     _unpack(state.parts, model, state.layout)
-    if best_it < it:
-        # the last forward, whose polynomial inputs give the stored
-        # amplitudes, ran on another model: run one on the best, by
-        # run_cascade, as wh_forward runs once per fit step
-        _, inter = run_cascade(model, plan.x_in, plan=plan)
+    # the returned model as apply_dpd runs it, in float64; by run_cascade,
+    # as wh_forward runs once per fit step
+    out, inter = run_cascade(model, received.samples)
     return DpdArtifact(model=model,
                        nl_input_amplitudes=_nl_input_amplitudes(model, inter),
-                       final_loss=best_loss,
+                       final_loss=loss(out, ref) / n,
                        iterations=len(history),
                        history=history)
 

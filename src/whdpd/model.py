@@ -129,27 +129,30 @@ def nl_apply(block, y):
 
 class Plan:
     """What every step of a fit reuses, built once per fit for one model,
-    its input x (an array), its coefficient layout (the keys of each
-    block's coefficients, in pack's order) and parts (one array of them
-    per block, which the steps read and the optimizer updates in place).
+    its input x and reference (arrays), its coefficient layout (the keys
+    of each block's coefficients, in pack's order) and parts (one array of
+    them per block, which the steps read and the optimizer updates in
+    place).
 
-    Every array that a step writes N samples into is aligned for vector
-    loads (kernels.aligned). For each FIR block, a frame of its input and
-    one of its output gradient (kernels.Frame); each but the first block's
+    Every array that a step writes N samples into is of kernels.FIT_DTYPE
+    and aligned for vector loads (kernels.aligned), and so are x_in and
+    ref, the input and the reference, cast into the plan once; parts and
+    flat stay float64. For each FIR block, a frame of its input and one of
+    its output gradient (kernels.Frame); each but the first block's
     gradient frame has a product of its own that the block's output (or
     input gradient) is formed in, and a kernels.Work that it shares with
     the frames of its filter length. For each polynomial block, its
     orders, its coefficients, where its output goes (the frame of the FIR
     block after, if there is one) and the arrays that the powers of its
     input are formed in (poly), and the powers of the last forward
-    (powers), which the backward reads. flat is the gradient vector. x is
-    framed here; x_in is what the forward takes as the model input (the
-    frame's samples, or x before a polynomial block).
+    (powers), which the backward reads. flat is the gradient vector. x_in
+    is what the forward takes as the model input: the first FIR block's
+    frame's samples, or an array of the plan's before a polynomial block.
     """
 
-    def __init__(self, model, x, layout, parts):
-        n, layers = len(x), model.layers
-        frames = [[kernels.Frame(n, b.taps.size)
+    def __init__(self, model, x, reference, layout, parts):
+        n, layers, dtype = len(x), model.layers, kernels.FIT_DTYPE
+        frames = [[kernels.Frame(n, b.taps.size, dtype)
                    if isinstance(b, FirBlock) else None for b in layers]
                   for _ in range(2)]
         # the model output (inputs[-1]) is written to no frame
@@ -167,11 +170,18 @@ class Plan:
             if f is None:
                 after = self.inputs[i + 1]
                 self.poly[i] = (e, c, None if after is None else after.samples,
-                                [kernels.aligned(n) for _ in
+                                [kernels.aligned(n, dtype=dtype) for _ in
                                  range(max(e, default=1) - 1)])
         self.powers = [None] * len(layers)
         self.flat = np.empty(sum(map(len, layout)))
-        self.x_in = x if frames[0][0] is None else frames[0][0].hold(x).samples
+        first = frames[0][0]
+        if first is None:
+            self.x_in = kernels.aligned(n, dtype=dtype)
+            self.x_in[:] = x
+        else:
+            self.x_in = first.hold(x).samples
+        self.ref = kernels.aligned(n, dtype=dtype)
+        self.ref[:] = reference
 
 
 def run_cascade(model, y, scale=None, plan=None):
@@ -211,9 +221,12 @@ def run_cascade(model, y, scale=None, plan=None):
 
 
 def wh_forward(model, x, plan=None):
-    """Run the cascade on a signal; returns (output signal, intermediates),
-    see run_cascade. Given a plan, x holds the plan's x_in as its samples,
-    so the input is framed only once."""
+    """Run the cascade on a signal, or on a sample array; returns (output
+    of the same kind, intermediates), see run_cascade. Given a plan, x is
+    the plan's x_in, so the input is framed only once, and the output
+    stays in the plan's dtype."""
+    if isinstance(x, np.ndarray):
+        return run_cascade(model, x, plan=plan)
     out, intermediates = run_cascade(model, x.samples, plan=plan)
     return x.with_samples(out), intermediates
 

@@ -49,6 +49,19 @@ def test_config_rejects_bad_grid():
         ExperimentConfig(modes=("nope",))
 
 
+def test_config_rejects_a_negative_seed(tmp_path, capsys):
+    # numpy's own message for a negative seed names no field
+    assert ExperimentConfig(seed=0).seed == 0
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        ExperimentConfig(seed=-1)
+    cfg_path = write_config(tmp_path / "cfg.json")
+    assert main(["sweep", "--config", str(cfg_path), "--seed", "-1",
+                 "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == ("config error: seed must be >= 0, "
+                                       "got -1\n")
+    assert not (tmp_path / "o").exists()
+
+
 # --- run_experiment -------------------------------------------------------
 
 def test_identity_channel_hits_snr_ceiling():
@@ -888,6 +901,7 @@ def test_build_config_rejects_unknown_or_repeated_keys(doc):
     ({"sweep": {"modes": []}}, "modes must not be empty"),
     ({"signal": {"n_symbols": 0}}, "n_symbols must be >= 1"),
     ({"signal": {"n_symbols": -5}}, "n_symbols must be >= 1"),
+    ({"seed": -1}, "seed must be >= 0, got -1"),
 ], ids=["lr_nl-negative", "lr_taps-nan", "lr_taps-inf", "tol-zero",
         "tol-nan", "iterations-zero", "k1-zero", "k2-negative",
         "iterations-float", "iterations-bool", "iterations-inf", "k1-float",
@@ -896,7 +910,7 @@ def test_build_config_rejects_unknown_or_repeated_keys(doc):
         "samples_per_symbol-bool", "seed-float", "order-float",
         "span_symbols-float", "train_amplitude-inf",
         "train_amplitude-string", "amplitudes-empty", "modes-empty",
-        "n_symbols-zero", "n_symbols-negative"])
+        "n_symbols-zero", "n_symbols-negative", "seed-negative"])
 def test_build_config_rejects_bad_values(doc, message):
     with pytest.raises(ValueError, match=message):
         build_config(doc)
@@ -950,6 +964,8 @@ def test_config_counts_accept_numpy_integers():
      "config error: n_symbols must be >= 1"),
     ("sweep", {"signal": {"n_symbols": 0}},
      "config error: n_symbols must be >= 1"),
+    ("sweep", {"seed": -1}, "config error: seed must be >= 0, got -1"),
+    ("train", {"seed": -1}, "config error: seed must be >= 0, got -1"),
 ], ids=["train-k1", "sweep-k1", "train-lr_nl", "train-lr_taps-nan",
         "sweep-amplitude-nan", "train-amplitude-inf", "train-amplitude-string",
         "train-n_symbols-float", "sweep-samples_per_symbol-float",
@@ -958,7 +974,7 @@ def test_config_counts_accept_numpy_integers():
         "sweep-noise_snr_db-nan", "sweep-noise_snr_db-minus-inf",
         "train-amplitudes-empty", "sweep-amplitudes-empty",
         "train-modes-empty", "sweep-modes-empty", "train-n_symbols-negative",
-        "sweep-n_symbols-zero"])
+        "sweep-n_symbols-zero", "sweep-seed-negative", "train-seed-negative"])
 def test_cli_rejects_bad_config_value(tmp_path, capsys, command, over,
                                       message):
     cfg_path = write_config(tmp_path / "cfg.json", **over)

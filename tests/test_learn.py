@@ -210,8 +210,11 @@ def test_fir_adjoints_all_shapes(n, k, seed):
     assert np.dot(h, gh) == pytest.approx(y, abs=1e-10)
 
 
-@pytest.mark.parametrize("k", (1, 2, 15, 16, 17, 80, 200, 201, 202, 401,
-                               402, 801))
+# filter lengths on either side of the block length 16 and of B + 1
+FIR_KS = (1, 2, 15, 16, 17, 80, 200, 201, 202, 401, 402, 801)
+
+
+@pytest.mark.parametrize("k", FIR_KS)
 @pytest.mark.parametrize("n", (1, 15, 16, 17, 31, 33, 1000))
 def test_fir_kernels_match_direct_convolution(n, k):
     # the blocked-GEMM kernels against the full convolution they window;
@@ -229,8 +232,7 @@ def test_fir_kernels_match_direct_convolution(n, k):
                                    atol=1e-12 * np.max(np.abs(ref)))
 
 
-@pytest.mark.parametrize("k", (1, 2, 15, 16, 17, 80, 200, 201, 202, 401,
-                               402, 801))
+@pytest.mark.parametrize("k", FIR_KS)
 @pytest.mark.parametrize("n", (1, 15, 16, 17, 31, 33, 1000, 16384))
 def test_fir_grad_taps_matches_direct_correlation(n, k):
     # gh[j] = sum_i g[i] x[i+c-j] over the i where x is defined, one slice
@@ -247,6 +249,66 @@ def test_fir_grad_taps_matches_direct_correlation(n, k):
     assert got.shape == (k,)
     np.testing.assert_allclose(got, ref, rtol=1e-12,
                                atol=1e-12 * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("k", FIR_KS)
+@pytest.mark.parametrize("n", (1, 16, 33, 1000))
+def test_fir_kernels_work_in_float32_on_float32_frames(n, k):
+    # a frame's dtype is the kernels' working dtype: on float32 frames, and
+    # on float32 arrays, whose one-off frames are float32, the kernels
+    # return float32 within float32 rounding of the float64 convolution at
+    # both centre offsets (c = K//2 forward, K-1-K//2 adjoint; they differ
+    # for even K); u = 2^-24 per rounding, one per product and sum term
+    # and one for each cast input
+    rng = np.random.default_rng(1000 * n + k + 2)
+    x, g, h = rng.normal(size=n), rng.normal(size=n), rng.normal(size=k)
+    x32, g32 = x.astype(np.float32), g.astype(np.float32)
+    c, u = k // 2, 2.0 ** -24
+    fir_ref = np.convolve(x, h)[c:c + n]
+    adj_ref = np.convolve(g, h[::-1])[k - 1 - c:k - 1 - c + n]
+    taps_ref = fir_grad_taps(g, x, k)
+    fx, fg = (kernels.Frame(n, k, np.float32).hold(a) for a in (x32, g32))
+    for sx, sg in ((fx, fg), (x32, g32)):
+        for got, ref, bound in (
+                (fir_same(sx, h), fir_ref, np.abs(h).sum() * np.abs(x).max()
+                 * (k + 2) * u),
+                (fir_grad_input(sg, h), adj_ref, np.abs(h).sum()
+                 * np.abs(g).max() * (k + 2) * u),
+                (fir_grad_taps(sg, sx, k), taps_ref, np.abs(g).sum()
+                 * np.abs(x).max() * (n + 2) * u)):
+            assert got.dtype == np.float32 and got.shape == ref.shape
+            np.testing.assert_allclose(got, ref, rtol=0, atol=bound)
+    assert fx.buf.dtype == np.float32
+
+
+@pytest.mark.parametrize("dtype, framed", [
+    (np.float32, np.float32), (np.float64, np.float64),
+    (np.int64, np.float64), (np.float16, np.float64)])
+def test_a_one_off_frame_takes_float32_and_makes_all_else_float64(dtype,
+                                                                   framed):
+    x = np.arange(-3, 4).astype(dtype)
+    frame = kernels._frame(x, 5)
+    assert frame.buf.dtype == framed
+    assert np.array_equal(frame.samples, x)
+    assert fir_same(x, FirBlock.identity(5).taps).dtype == framed
+
+
+def test_poly_kernels_cast_their_coefficients_to_the_signal_dtype():
+    # a float64 coefficient would promote a float32 product to float64
+    rng = np.random.default_rng(3)
+    y = rng.normal(size=100)
+    orders, coeffs = (2, 3), np.array([-0.02, 0.1])
+    want, p64 = kernels.poly_apply(y, orders, coeffs)
+    slope = kernels.poly_slope(p64, orders, coeffs)
+    y32 = y.astype(np.float32)
+    got, p = kernels.poly_apply(y32, orders, coeffs)
+    assert got.dtype == np.float32 and all(a.dtype == np.float32 for a in p)
+    np.testing.assert_allclose(got, want, rtol=1e-6)
+    got = kernels.poly_slope(p, orders, coeffs)
+    assert got.dtype == np.float32
+    np.testing.assert_allclose(got, slope, rtol=1e-6)
+    out = np.empty_like(y32)
+    assert kernels.poly_slope(p, orders, coeffs, out) is out
 
 
 def _blocks(k):
@@ -366,6 +428,24 @@ def test_a_one_off_frame_is_aligned_and_zero_filled(n, k):
         del dirty
         frame = kernels.Frame(n, k)
         assert len(frame) == n and frame.samples.ctypes.data % 64 == 0
+        assert not np.any(frame.buf)
+
+
+@pytest.mark.parametrize("n, lead", [(1, 0), (7, 3), (40, 15), (4096, 0)])
+def test_float32_arrays_and_frames_start_on_a_64_byte_boundary(n, lead):
+    # 16 float32 values to a cache line; a frame's buffer, freed full of
+    # NaN, is what malloc hands out next
+    for _ in range(8):
+        a = kernels.aligned(n, lead, np.float32)
+        assert a.shape == (n,) and a.dtype == np.float32
+        assert a[lead:].ctypes.data % 64 == 0
+    for k in (1, 2, 15, 401):
+        size = kernels.Frame(n, k, np.float32).buf.size
+        dirty = np.full(size + 15, np.nan, np.float32)
+        del dirty
+        frame = kernels.Frame(n, k, np.float32)
+        assert frame.buf.dtype == np.float32 and len(frame) == n
+        assert frame.samples.ctypes.data % 64 == 0
         assert not np.any(frame.buf)
 
 
@@ -594,38 +674,55 @@ def test_fit_freeze_nonlinear_keeps_a_zero():
     assert a3 == 0.0
 
 
-@pytest.mark.parametrize("tol", [1e-9, 1e-2])
-def test_fit_runs_forward_once_per_iteration(monkeypatch, tol):
-    # wh_forward runs once per fit step: the best loss is kept, and the
-    # stored amplitudes come from one more forward, through run_cascade
-    calls = []
+def _thetas_per_step(monkeypatch):
+    """The list that the packed coefficients of the model at each fit
+    step's forward are appended to."""
+    thetas = []
     real = learn.wh_forward
     monkeypatch.setattr(learn, "wh_forward", lambda m, x, *plan:
-                        calls.append(1) or real(m, x, *plan))
+                        thetas.append(pack(m)) or real(m, x, *plan))
+    return thetas
+
+
+def _best_step(art):
+    losses = [j for _, j, _ in art.history]
+    return losses.index(min(losses))
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-2])
+def test_fit_runs_forward_once_per_iteration(monkeypatch, tol):
+    # wh_forward runs once per fit step: the coefficients of the step with
+    # the least loss are kept, and the final loss and stored amplitudes
+    # come from one more forward of them, through run_cascade
+    real = learn.wh_forward
+    thetas = _thetas_per_step(monkeypatch)
     rng = np.random.default_rng(12)
     ref = sig(rng.normal(size=256) * 0.4)
     received, _ = real(WhModel.lnl(5, 5, a=0.1), ref)
     art = fit_postestimator(received, ref, WhModel.lnl(5, 5),
                             FitConfig(iterations=60, tol=tol))
-    assert len(calls) == art.iterations
-    assert art.final_loss == min(j for _, j, _ in art.history)
+    assert len(thetas) == art.iterations
+    assert pack(art.model).tobytes() == thetas[_best_step(art)].tobytes()
     out, inter = real(art.model, received)
     assert art.final_loss == loss(out, ref) / ref.samples.size
     assert art.nl_input_amplitudes == {1: float(np.max(np.abs(inter[1])))}
 
 
-def test_fit_stores_the_amplitudes_of_its_best_step_not_its_last():
+def test_fit_stores_the_amplitudes_of_its_best_step_not_its_last(
+        monkeypatch):
     # with large rates the loss rises again after a minimum, so the best
     # step is neither the first nor the last: the returned model is the
     # best step's, and so is the peak of the polynomial input it stores
+    thetas = _thetas_per_step(monkeypatch)
     rng = np.random.default_rng(27)
     ref = sig(rng.normal(size=256) * 0.4)
     received, _ = wh_forward(WhModel.lnl(5, 5, a=0.1), ref)
     art = fit_postestimator(received, ref, WhModel.lnl(5, 5),
                             FitConfig(iterations=30, lr_taps=0.05,
                                       lr_nl=0.01, tol=1e-300))
-    losses = [j for _, j, _ in art.history]
-    assert 0 < losses.index(art.final_loss) < len(losses) - 1
+    best = _best_step(art)
+    assert 0 < best < art.iterations - 1
+    assert pack(art.model).tobytes() == thetas[best].tobytes()
     out, inter = wh_forward(art.model, received)
     assert art.final_loss == loss(out, ref) / ref.samples.size
     assert art.nl_input_amplitudes == {1: float(np.max(np.abs(inter[1])))}
@@ -656,6 +753,7 @@ def test_fit_copies_the_model_a_bounded_number_of_times(monkeypatch):
     real = WhModel.copy
     monkeypatch.setattr(WhModel, "copy",
                         lambda self: copies.append(1) or real(self))
+    thetas = _thetas_per_step(monkeypatch)
     rng = np.random.default_rng(13)
     ref = sig(rng.normal(size=256) * 0.4)
     received, _ = wh_forward(WhModel.lnl(5, 5, a=0.1), ref)
@@ -665,31 +763,39 @@ def test_fit_copies_the_model_a_bounded_number_of_times(monkeypatch):
                        for i, (_, j, _) in enumerate(art.history) if i)
     assert art.iterations == 60 and improvements > 50
     assert len(copies) <= 2
-    assert art.final_loss == min(j for _, j, _ in art.history)
+    assert pack(art.model).tobytes() == thetas[_best_step(art)].tobytes()
+    out, _ = wh_forward(art.model, received)
+    assert art.final_loss == loss(out, ref) / ref.samples.size
 
 
 def reference_fit(received, reference, init, cfg):
     """The fit without a plan: fresh arrays on every step, from wh_forward
-    on the plain signal, wh_backward and adam_step, on a model that owns
-    its taps. Returns (history, best theta, best amplitudes)."""
+    on the plain arrays of the fit's dtype that the capture and the
+    reference are cast to, wh_backward and adam_step, on a model that owns
+    its taps; then one float64 forward of the best step's model. Returns
+    (history, best theta, its amplitudes, its float64 loss)."""
     model = init.copy()
     state = AdamState(model, lr_taps=cfg.lr_taps, lr_nl=cfg.lr_nl)
-    n = received.samples.size
-    history, best = [], (np.inf, None, None)
+    x, ref = (s.samples.astype(kernels.FIT_DTYPE)
+              for s in (received, reference))
+    n = x.size
+    history, best = [], (np.inf, None)
     for it in range(cfg.iterations):
         assert all(b.taps.base is None for b in model.layers
                    if isinstance(b, FirBlock))
-        out, inter = wh_forward(model, received)
-        j = loss(out, reference) / n
+        out, inter = wh_forward(model, x)
+        assert out.dtype == kernels.FIT_DTYPE
+        j = loss(out, ref) / n
         if j < best[0]:
-            amps = {i: float(np.max(np.abs(inter[i])))
-                    for i, b in enumerate(model.layers)
-                    if isinstance(b, PolyNlBlock)}
-            best = (j, pack(model), amps)
-        grads = wh_backward(model, inter, reference)
+            best = (j, model.copy())
+        grads = wh_backward(model, inter, ref)
         history.append((it, j, grads.norm()))
         adam_step(state, model, grads)
-    return history, best[1], best[2]
+    out, inter = wh_forward(best[1], received)
+    amps = {i: float(np.max(np.abs(inter[i])))
+            for i, b in enumerate(best[1].layers)
+            if isinstance(b, PolyNlBlock)}
+    return history, pack(best[1]), amps, loss(out, reference) / n
 
 
 def _criterion_1_models():
@@ -726,11 +832,12 @@ def test_planned_fit_matches_the_unplanned_loop_bit_for_bit(name, n, lr_nl):
     init = PLANNED_FIT_MODELS[name]()
     cfg = FitConfig(iterations=25, lr_taps=1e-2, lr_nl=lr_nl, tol=1e-300)
     art = fit_postestimator(received, ref, init, cfg)
-    history, theta, amps = reference_fit(received, ref, init, cfg)
+    history, theta, amps, final_loss = reference_fit(received, ref, init,
+                                                     cfg)
     assert art.history == history
     assert pack(art.model).tobytes() == theta.tobytes()
     assert art.nl_input_amplitudes == amps
-    assert art.final_loss == min(j for _, j, _ in history)
+    assert art.final_loss == final_loss
 
 
 @pytest.mark.parametrize("k1, k2", [(401, 241), (15, 801)])
@@ -746,10 +853,12 @@ def test_planned_large_k_fit_matches_the_unplanned_loop_bit_for_bit(k1, k2):
             if isinstance(b, FirBlock)] == [_blocks(k1)[1], _blocks(k2)[1]]
     cfg = FitConfig(iterations=8, lr_taps=1e-3, lr_nl=1e-4, tol=1e-300)
     art = fit_postestimator(received, ref, init, cfg)
-    history, theta, amps = reference_fit(received, ref, init, cfg)
+    history, theta, amps, final_loss = reference_fit(received, ref, init,
+                                                     cfg)
     assert art.history == history
     assert pack(art.model).tobytes() == theta.tobytes()
     assert art.nl_input_amplitudes == amps
+    assert art.final_loss == final_loss
 
 
 def test_fit_builds_its_frames_once(monkeypatch):
@@ -767,10 +876,14 @@ def test_fit_builds_its_frames_once(monkeypatch):
                                 FitConfig(iterations=iterations, tol=1e-300))
         assert art.iterations == iterations
         counts.append(len(built))
-    # an input and an output-gradient frame per FIR block, whatever the
-    # number of steps
-    assert counts == [4, 4]
-    assert sorted(built) == [(256, 3), (256, 3), (256, 5), (256, 5)]
+    # an input and an output-gradient frame per FIR block in the fit's
+    # dtype, whatever the number of steps, and a one-off float64 frame per
+    # FIR block in the forward of the returned model
+    assert counts == [6, 6]
+    fit = np.dtype(kernels.FIT_DTYPE).name
+    assert sorted((n, k, np.dtype(d).name) for n, k, d in built) == sorted(
+        [(256, 3, fit), (256, 3, fit), (256, 5, fit), (256, 5, fit),
+         (256, 3, "float64"), (256, 5, "float64")])
 
 
 def test_fit_derives_its_layout_and_frame_views_once(monkeypatch):
@@ -799,32 +912,44 @@ def test_fit_derives_its_layout_and_frame_views_once(monkeypatch):
     # layouts: the state's; rows: one offset per frame, two for the last
     # block's gradient frame; bands: the two forward FIRs and the last
     # block's input gradient; products: one per filter length and one per
-    # frame but the first block's gradient frame
+    # frame but the first block's gradient frame; and the rows and band
+    # of each one-off frame of the returned model's forward
     assert counts[0] == counts[1] == sorted(
-        ["_layout"] + ["_cut"] * 5 + ["_views"] * 3 + ["product"] * 5
-        + ["_taps_product"] * 2)
+        ["_layout"] + ["_cut"] * (5 + 2) + ["_views"] * (3 + 2)
+        + ["product"] * 5 + ["_taps_product"] * 2)
 
 
 def test_fit_steps_write_into_the_plans_arrays(monkeypatch):
     # every step forms the model output, the polynomial input and the
-    # gradient vector in the same arrays
-    seen = {"out": set(), "poly in": set(), "flat": set()}
-    forward, step = learn.wh_forward, learn.adam_step
+    # gradient vector in the same arrays, and reads the same reference,
+    # cast once per fit
+    seen = {"out": set(), "poly in": set(), "ref": set(), "flat": set()}
+    forward, backward, step = (learn.wh_forward, learn.wh_backward,
+                               learn.adam_step)
 
     def record_forward(m, x, *plan):
         out, inter = forward(m, x, *plan)
-        seen["out"].add(id(out.samples.base))
+        seen["out"].add(id(out.base))
         seen["poly in"].add(id(inter[1].base))
         # for vector loads that split no cache line
         assert all(a.ctypes.data % 64 == 0 for a in (
-            out.samples, inter[1], inter[0].samples, inter[2].samples))
+            out, inter[1], inter[0].samples, inter[2].samples))
+        assert out.dtype == inter[1].dtype == kernels.FIT_DTYPE
         return out, inter
+
+    def record_backward(m, inter, reference, **kw):
+        seen["ref"].add(id(reference))
+        assert reference.ctypes.data % 64 == 0
+        assert reference.dtype == kernels.FIT_DTYPE
+        return backward(m, inter, reference, **kw)
 
     def record_step(state, model, grads):
         seen["flat"].add(id(grads.flat))
+        assert grads.flat.dtype == state.theta.dtype == np.float64
         return step(state, model, grads)
 
     monkeypatch.setattr(learn, "wh_forward", record_forward)
+    monkeypatch.setattr(learn, "wh_backward", record_backward)
     monkeypatch.setattr(learn, "adam_step", record_step)
     rng = np.random.default_rng(25)
     ref = sig(rng.normal(size=256) * 0.4)
@@ -833,7 +958,7 @@ def test_fit_steps_write_into_the_plans_arrays(monkeypatch):
                             FitConfig(iterations=30, tol=1e-300))
     assert art.iterations == 30
     assert {k: len(v) for k, v in seen.items()} == {"out": 1, "poly in": 1,
-                                                   "flat": 1}
+                                                   "ref": 1, "flat": 1}
 
 
 def test_fit_steps_form_each_signal_in_the_frame_that_reads_it(monkeypatch):
@@ -855,13 +980,14 @@ def test_fit_steps_form_each_signal_in_the_frame_that_reads_it(monkeypatch):
         copies.clear()
         art = fit_postestimator(ref, ref, WhModel(layers),
                                 FitConfig(iterations=20, tol=1e-300))
-        # the last step is the best, so its forward gives the amplitudes
-        assert art.iterations == 20 and art.final_loss == art.history[-1][1]
+        assert art.iterations == 20
         # the capture; then a forward and a backward pass per step, each
-        # holding every FIR block's frame once
+        # holding every FIR block's frame once; then the float64 forward
+        # of the returned model, which copies each FIR block's input into
+        # a one-off frame
         passes, firs = 2 * 20, len(layers) - 1
-        assert len(copies) == 1 + passes * firs
-        assert sum(copies) == 1 + passes * adjacent
+        assert len(copies) == 1 + passes * firs + firs
+        assert sum(copies) == 1 + passes * adjacent + firs
 
 
 def test_fit_steps_taps_that_are_views_of_theta(monkeypatch):
@@ -1015,6 +1141,16 @@ def test_fit_capture_shorter_than_half_filter():
                             FitConfig(iterations=20))
     assert art.model.layers[0].taps.size == 15
     assert art.final_loss <= loss(received, ref) / 5
+
+
+@pytest.mark.parametrize("n_ref", [1, 63, 65])
+def test_fit_rejects_a_reference_of_another_length(n_ref):
+    # one reference sample would broadcast into the fit's cast reference
+    rng = np.random.default_rng(35)
+    with pytest.raises(ValueError, match="output/reference length mismatch"):
+        fit_postestimator(sig(rng.normal(size=64)),
+                          sig(rng.normal(size=n_ref)), WhModel.lnl(5, 5),
+                          FitConfig(iterations=5))
 
 
 def test_fit_divergence_raises_with_iteration():

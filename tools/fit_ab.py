@@ -16,13 +16,19 @@ runs ``--pairs`` pairs of fresh interpreters, one per side,
 alternating which side runs first, so a host whose speed drifts slows both
 sides alike. Each run imports whdpd from its tree only, with one BLAS
 thread, fits a cubic distortion of a fixed random capture for 20 steps to
-warm up, then times one fit of ``--iterations`` steps that runs its whole
-budget. It reports the time per step and a SHA-256 digest of the fit's
+warm up, then times one fit of ``--iterations`` steps with a tolerance of
+1e-300, which stops it only where its loss repeats exactly over the stop
+window (as a fit's float32 losses can, once converged to their
+resolution). It reports the time per step, the steps run, a SHA-256
+digest of the fit's
 history (iteration, loss and gradient norm of every step, as float hex),
-final coefficients and stored amplitudes. The tool prints, per N, mode and
-side, the median and quartiles of the time per step, the pairs the change
-won, and the digests: one digest per N and mode on both sides means the
-two trees fit bit for bit alike. ``--json PATH`` also writes every run.
+final coefficients and stored amplitudes, and the returned model's loss/N
+recomputed by a float64 forward. The tool prints, per N, mode and side,
+the median and quartiles of the time per step, the pairs the change won,
+the digests and the recomputed loss: one digest per N and mode on both
+sides means the two trees fit bit for bit alike, and where they differ,
+as when a tree fits in another precision, the relative gap between the
+sides' losses shows what it cost. ``--json PATH`` also writes every run.
 
     python tools/fit_ab.py PARENT_SRC CHANGE_SRC --evaluate
 
@@ -49,6 +55,7 @@ on older trees too.
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -77,7 +84,8 @@ if not Path(whdpd.__file__).resolve().is_relative_to(src):
 
 RUN = IMPORT + r"""
 from whdpd import FitConfig, SampledSignal, WhModel, fit_postestimator
-from whdpd.learn import pack
+from whdpd.learn import loss, pack
+from whdpd.model import wh_forward
 n, k, iterations = map(int, sys.argv[2:5])
 lr_nl = float(sys.argv[5])
 x = np.random.default_rng(0).normal(size=n) * 0.3
@@ -94,8 +102,10 @@ for it, j, gn in art.history:
     h.update(f"{it} {float(j).hex()} {float(gn).hex()};".encode())
 h.update(pack(art.model).tobytes())
 h.update(repr(sorted(art.nl_input_amplitudes.items())).encode())
+out, _ = wh_forward(art.model, args[0])
 print(json.dumps({"time": per_step * 1e6, "digest": h.hexdigest(),
-                  "iterations": art.iterations}))
+                  "iterations": art.iterations,
+                  "loss": loss(out, args[1]) / n}))
 """
 
 EVALUATE = IMPORT + r"""
@@ -211,14 +221,25 @@ def main(argv=None):
             fastest = (f", fastest {min(r['min'] for r in at[side]):.3f}"
                        if args.evaluate else "")
             digests = sorted({r["digest"] for r in at[side]})
+            steps = ("" if args.evaluate else ", steps " + ", ".join(
+                map(str, sorted({r["iterations"] for r in at[side]}))))
             print(f"  {side:6s} {med:8.3f} {unit} [{q1:.3f}, {q3:.3f}]"
-                  f"{fastest}  {digest} "
+                  f"{fastest}{steps}  {digest} "
                   f"{', '.join(d[:16] for d in digests)}")
             for part in ("cold", "held"):
                 if part in at[side][0]:
                     med, q1, q3 = quartiles([r[part] for r in at[side]])
                     print(f"    {part} {med:8.3f} {unit} "
                           f"[{q1:.3f}, {q3:.3f}]")
+            if "loss" in at[side][0]:
+                losses = sorted({r["loss"] for r in at[side]})
+                print("    float64 loss/N of the returned model "
+                      + ", ".join(f"{j:.10e}" for j in losses))
+        if "loss" in at["parent"][0]:
+            parent, change = (statistics.median(r["loss"] for r in at[side])
+                              for side in ("parent", "change"))
+            gap = (change - parent) / parent if parent else math.nan
+            print(f"  loss/N, change against parent: {gap:+.3e} relative")
     if args.json:
         args.json.write_text(json.dumps(runs, indent=1) + "\n")
 
