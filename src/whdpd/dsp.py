@@ -143,37 +143,97 @@ def shape_pulse(symbols, spec):
     return SampledSignal(shaped.real), SampledSignal(shaped.imag)
 
 
-def synchronize(reference, received, min_peak=0.1, spectrum=None):
+def _rows(x):
+    """A rail (a SampledSignal or 1-D array) as [its samples], a stack of
+    rails (a 2-D array or a sequence of rails) as the list of its rows."""
+    x = _as_array(x) if isinstance(x, SampledSignal) else x
+    if isinstance(x, np.ndarray) and x.ndim == 1:
+        return [x]
+    return [_as_array(row) for row in x]
+
+
+def _correlation_spectrum(r, v, held):
+    """rfft(v) * conj(rfft(r, len(v))), formed in rfft(v)'s array; held,
+    if given, is the conjugate factor."""
+    f = np.fft.rfft(v)
+    f *= np.conj(np.fft.rfft(r, v.size)) if held is None else held
+    return f
+
+
+def _rotate_into(out, v, shift):
+    """np.roll(v, -shift)[:out.size], written into out."""
+    head = v[shift:shift + out.size]
+    out[:head.size] = head
+    out[head.size:] = v[:out.size - head.size]
+
+
+def synchronize(reference, received, min_peak=0.1, spectrum=None,
+                energy=None, out=None):
     """Find the delay of received vs reference by circular cross-correlation.
 
-    Returns (delay, aligned) where aligned is received rotated back by delay
-    and truncated to the reference length. Raises AlignmentError when the
-    normalized correlation peak falls below min_peak. spectrum, if given, is
-    the reference's conjugate spectrum at the received length,
-    conj(rfft(reference, len(received))), which a caller that aligns many
-    captures to one reference can hold; one of another length raises
+    reference and received are each one rail (a SampledSignal or 1-D
+    array) or a stack of rails (a 2-D array or a sequence of rails), row
+    for row. The rails of a stack passed through one channel and share one
+    delay, so their correlations are summed, sum_j conj(R_j) * V_j in the
+    frequency domain, and one peak is taken. Returns (delay, aligned)
+    where aligned is received rotated back by delay and truncated to the
+    reference length: a SampledSignal for a SampledSignal, else an array
+    (one row per rail for a stack), written into out when given.
+
+    Raises AlignmentError when the normalized correlation peak,
+    corr[delay] / sqrt(sum_j r_j.r_j * sum_j v_j.v_j), falls below
+    min_peak, or is NaN. For a stack the check is joint, on the summed
+    correlation: a rail that alone would fall below min_peak passes, aligned
+    at the stack's delay, when the stack clears it.
+
+    spectrum, if given, is the reference's conjugate spectrum at the
+    received length, conj(rfft(r_j, len(v_j))) per row, and energy the
+    reference's sum_j r_j.r_j; a caller that aligns many captures to one
+    reference can hold both. A spectrum row of another length raises
     ValueError.
     """
-    r = reference.samples
-    v = received.samples
-    if v.size < r.size:
+    rs, vs = _rows(reference), _rows(received)
+    n, m = rs[0].size, vs[0].size
+    if len(rs) != len(vs):
+        raise ValueError(f"{len(rs)} reference rails, {len(vs)} received")
+    if any(r.size != n for r in rs) or any(v.size != m for v in vs):
+        raise ValueError("the rails of a stack differ in length")
+    if m < n:
         raise ValueError("received shorter than reference")
-    if spectrum is None:
-        spectrum = np.conj(np.fft.rfft(r, v.size))
-    elif spectrum.shape != (v.size // 2 + 1,):
-        raise ValueError(f"reference spectrum has {spectrum.size} bins, a "
-                         f"received signal of {v.size} samples needs "
-                         f"{v.size // 2 + 1}")
-    f = np.fft.rfft(v)
-    f *= spectrum
-    corr = np.fft.irfft(f, v.size)
+    spectra = [None] * len(vs)
+    if spectrum is not None:
+        spectra = _rows(spectrum)
+        for f in spectra:
+            if f.shape != (m // 2 + 1,):
+                raise ValueError(f"reference spectrum has {f.size} bins, a "
+                                 f"received signal of {m} samples needs "
+                                 f"{m // 2 + 1}")
+        if len(spectra) != len(vs):
+            raise ValueError(f"{len(spectra)} reference spectra, "
+                             f"{len(vs)} received rails")
+    f = _correlation_spectrum(rs[0], vs[0], spectra[0])
+    for r, v, held in zip(rs[1:], vs[1:], spectra[1:]):
+        # each further rail's product is freed before the irfft
+        f += _correlation_spectrum(r, v, held)
+    corr = np.fft.irfft(f, m)
+    del f
     peak = int(np.argmax(corr))
-    norm = np.sqrt(inner(r, r) * inner(v, v))
-    # written so that a NaN in either signal fails it
+    if energy is None:
+        energy = sum(map(inner, rs, rs))
+    norm = np.sqrt(energy * sum(map(inner, vs, vs)))
+    # written so that a NaN in any signal fails it
     if not (norm > 0 and corr[peak] / norm >= min_peak):
         raise AlignmentError("correlation peak below floor; alignment ambiguous")
-    aligned = np.roll(v, -peak)[:r.size]
-    return peak, received.with_samples(aligned)
+    del corr
+    if out is None:
+        one_rail = (isinstance(received, SampledSignal)
+                    or getattr(received, "ndim", 2) == 1)
+        out = np.empty(n if one_rail else (len(vs), n))
+    for row, v in zip(_rows(out), vs):
+        _rotate_into(row, v, peak)
+    if isinstance(received, SampledSignal):
+        return peak, received.with_samples(out)
+    return peak, out
 
 
 def rms_normalize(x, target_rms):
@@ -195,21 +255,27 @@ def _as_array(x):
     return x.samples if isinstance(x, SampledSignal) else np.asarray(x)
 
 
-def snr_db(reference, demodulated):
+def snr_db(reference, demodulated, reference_power=None):
     """10*log10(E|r|^2 / E|r - g*d|^2) with the least-squares gain g.
 
     Accepts real rails, complex sequences or SampledSignals. The optimal
     gain removes any residual scale (and sign) before the ratio; the return
     value is capped at SNR_CEILING_DB when the error power underflows. An
     all-zero or non-finite reference or demodulated signal raises
-    ValueError.
+    ValueError. reference_power, if given, is the reference's
+    np.mean(np.abs(reference) ** 2), which a caller that scores many
+    signals against one reference can hold.
     """
     r = _as_array(reference)
     d = _as_array(demodulated)
     if r.shape != d.shape:
         raise ValueError("reference and demodulated lengths differ")
-    p_sig = np.mean(np.abs(r) ** 2)
-    dd = inner(d, d)
+    p_sig = (np.mean(np.abs(r) ** 2) if reference_power is None
+             else reference_power)
+    # conj(d) formed once for both inner products, each summed as
+    # kernels.inner sums it
+    dc = d.conj()
+    dd = np.einsum("i,i", dc, d)
     if p_sig == 0 or dd == 0:
         raise ValueError("SNR against an all-zero reference or demodulated "
                          "signal is undefined")
@@ -217,7 +283,8 @@ def snr_db(reference, demodulated):
     if not (p_sig < np.inf and abs(dd) < np.inf):
         raise ValueError(f"SNR needs finite signals: reference power "
                          f"{float(p_sig)}, demodulated energy {abs(dd)}")
-    g = inner(d, r) / dd
+    g = np.einsum("i,i", dc, r) / dd
+    del dc
     # r - g*d and its squared magnitude, each formed in place
     err = g * d
     np.subtract(r, err, out=err)

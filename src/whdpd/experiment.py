@@ -24,6 +24,7 @@ import numpy as np
 
 from .dsp import (ConstellationSpec, RrcSpec, papr_db, qam_modulate,
                   shape_pulse, snr_db, synchronize)
+from .kernels import inner
 from .learn import (FitConfig, apply_dpd, artifact_to_dict, capture,
                     dpd_key, fit_linear, indirect_learn, rescale_artifact)
 from .model import SCHEMA_VERSION, WhModel, complexity
@@ -123,21 +124,29 @@ def _complex(re, im):
     return z
 
 
+def _rails(z):
+    """The real and imaginary parts of complex z as the rows of one (2, N)
+    view."""
+    return z.view(np.float64).reshape(-1, 2).T
+
+
 class Workbench:
-    """Holds the generated reference waveform, the channel noise's draws
-    (one per channel seed and length) and the drive-independent part of
-    the last evaluation, and runs single sweep points.
+    """Holds the generated reference waveform with its mean power, the
+    channel noise's draws (one per channel seed and length) and the
+    drive-independent part of the last evaluation, and runs single sweep
+    points.
 
     The I and Q rails are views of the complex reference. An evaluation
     pre-distorts both rails into the rows of one (2, N) array (without an
-    artifact, a view of the rails), and takes its peak, which the drive
-    scales, and each row's conjugate spectrum, which synchronize
-    correlates the captures against; none of that depends on the drive.
-    The Workbench holds it, read-only, for the last artifact it
-    evaluated, keyed by learn.dpd_key: the artifact's layout, coefficient
-    bits and stored amplitudes, not its identity. So a drive sweep with
-    one artifact pre-distorts once, and an artifact edited in place, or
-    another one, is pre-distorted afresh.
+    artifact, a view of the rails). None of the following depends on the
+    drive, so the Workbench holds it, read-only, for the last artifact it
+    evaluated: that pair; its peak |.|, which the drive scales; its PAPR,
+    which scaling does not move; and the rows' conjugate spectra and summed
+    energy, which synchronize aligns the two captures against, jointly, at
+    one delay. The entry is keyed by learn.dpd_key: the artifact's layout,
+    coefficient bits and stored amplitudes, not its identity. So a drive
+    sweep with one artifact pre-distorts once, and an artifact edited in
+    place, or another one, is pre-distorted afresh.
     """
 
     def __init__(self, cfg):
@@ -150,12 +159,15 @@ class Workbench:
         i_rail, q_rail = shape_pulse(symbols, rrc)
         self.reference = _complex(i_rail.samples, q_rail.samples)
         self.reference.flags.writeable = False
+        # snr_db's reference power, formed as it forms it
+        self._reference_power = np.mean(np.abs(self.reference) ** 2)
         self.i_rail = i_rail.with_samples(self.reference.real)
         self.q_rail = q_rail.with_samples(self.reference.imag)
         # (channel seed, N) -> that seed's standard-normal draw of N samples
         self._normals = {}
-        # (dpd_key, the pre-distorted I and Q rails as the rows of one
-        # (2, N) array, its peak |.|, the rows' conjugate spectra)
+        # (dpd_key, (the pre-distorted I and Q rails as the rows of one
+        # (2, N) array, its peak |.|, its PAPR, the rows' conjugate spectra
+        # and their summed energy))
         self._held = None
 
     def _normal(self, seed, n):
@@ -189,49 +201,55 @@ class Workbench:
                               WhModel.lnl(cfg.k1, cfg.k2), cfg.fit)
 
     def _predistorted(self, artifact):
-        """The pre-distorted I and Q rails for artifact (the rails
-        themselves for None) as the rows of one (2, N) array, its peak |.|
-        and the rows' conjugate spectra: the held ones when the artifact's
-        key is the held key, else formed and held in their place."""
+        """For artifact (the rails themselves for None): the pre-distorted
+        I and Q rails as the rows of one (2, N) array, its peak |.| and
+        PAPR, the rows' conjugate spectra and their summed energy. The held
+        ones when the artifact's key is the held key, else formed and held
+        in their place."""
         key = dpd_key(artifact)
         if self._held is None or self._held[0] != key:
             # dropped first, so that a failing apply_dpd leaves none held
             self._held = None
             if artifact is None:
                 # the rails, as a view of the reference: no copy is held
-                pair = self.reference.view(np.float64).reshape(-1, 2).T
+                pair = _rails(self.reference)
             else:
                 pair = np.stack([apply_dpd(artifact, r).samples
                                  for r in (self.i_rail, self.q_rail)])
             spectra = [np.conj(f, out=f) for f in map(np.fft.rfft, pair)]
             for a in (pair, *spectra):
                 a.flags.writeable = False
-            self._held = key, pair, float(np.max(np.abs(pair))), spectra
-        return self._held[1:]
+            self._held = key, (pair, float(np.max(np.abs(pair))),
+                               papr_db(_complex(*pair)), spectra,
+                               sum(map(inner, pair, pair)))
+        return self._held[1]
 
     def evaluate(self, artifact, v_in):
         """Apply an optional DPD artifact, drive the channel at peak v_in,
-        and measure SNR / output RMS / channel-input PAPR. The captures are
-        aligned to the unscaled pre-distorted rails, whose held spectra
-        serve every drive: a reference's scale moves neither the
-        correlation peak nor its normalized height."""
-        pair, peak, spectra = self._predistorted(artifact)
-        rails = (self.i_rail, self.q_rail)
+        and measure SNR / output RMS / channel-input PAPR. PAPR does not
+        depend on the drive and is that of the unscaled pre-distorted
+        rails. The two captures are aligned jointly, at one delay, to the
+        unscaled rails, whose held spectra serve every drive: a reference's
+        scale moves neither the correlation peak nor its normalized
+        height."""
+        pair, peak, papr, spectra, energy = self._predistorted(artifact)
         # each scaled rail contiguous, also from the view of the reference
         z = np.multiply(pair, _gain(v_in, peak), order="C")
-        papr = papr_db(_complex(*z))
         out = [self._channel_fn(o)(rail.with_samples(z[o]))
-               for o, rail in enumerate(rails)]
+               for o, rail in enumerate((self.i_rail, self.q_rail))]
         # the scaled rails and then the captures are let go once read: the
-        # SNR stage, which held them all, set the evaluation's peak memory
+        # synchronize and SNR stages, which held them all, set the
+        # evaluation's peak memory
         del z
         out_rms = float(np.sqrt(np.mean(out[0].samples ** 2
                                         + out[1].samples ** 2)))
-        aligned = _complex(*(
-            synchronize(rail.with_samples(d), o, spectrum=f)[1].samples
-            for rail, d, o, f in zip(rails, pair, out, spectra)))
+        # the captures are aligned straight into the complex signal that
+        # snr_db reads
+        aligned = np.empty(pair.shape[1], dtype=np.complex128)
+        synchronize(pair, out, spectrum=spectra, energy=energy,
+                    out=_rails(aligned))
         del out
-        snr = snr_db(self.reference, aligned)
+        snr = snr_db(self.reference, aligned, self._reference_power)
         return {"snr_db": snr, "out_rms": out_rms, "papr_db": papr}
 
     def run_point(self, v_in, mode):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from whdpd.dsp import (AlignmentError, ConstellationSpec, RrcSpec,
-                       SampledSignal, papr_db, qam_modulate, rms_normalize,
-                       rrc_taps, shape_pulse, snr_db, synchronize)
+from whdpd.dsp import (SNR_CEILING_DB, AlignmentError, ConstellationSpec,
+                       RrcSpec, SampledSignal, papr_db, qam_modulate,
+                       rms_normalize, rrc_taps, shape_pulse, snr_db,
+                       synchronize)
 
 
 def test_sampled_signal_rejects_empty():
@@ -309,6 +310,115 @@ def test_synchronize_with_a_held_spectrum_rejects_a_nan_capture():
         synchronize(ref, rx, spectrum=_held_spectrum(ref, ref.samples.size))
 
 
+# --- a stack of rails, aligned at one delay -------------------------------
+
+def _stack(n=512, delay=7, noise=0.1, seed=20):
+    """A two-rail reference and its capture, both rails delayed alike."""
+    rng = np.random.default_rng(seed)
+    ref = rng.normal(size=(2, n))
+    rx = np.roll(ref, delay, axis=1) + noise * rng.normal(size=(2, n))
+    return ref, rx
+
+
+def _stack_spectrum(ref, n):
+    return np.stack([_held_spectrum(SampledSignal(r), n) for r in ref])
+
+
+@pytest.mark.parametrize("extra", [0, 1, 37])
+@pytest.mark.parametrize("held", [False, True])
+def test_a_stack_aligns_at_each_rails_own_delay(extra, held):
+    ref, rx = _stack(511)
+    rx = np.concatenate([rx, 0.1 * np.ones((2, extra))], axis=1)
+    own = [synchronize(SampledSignal(r), SampledSignal(v))
+           for r, v in zip(ref, rx)]
+    kw = {}
+    if held:
+        kw = dict(spectrum=_stack_spectrum(ref, rx.shape[1]),
+                  energy=np.einsum("i,i", ref[0], ref[0])
+                  + np.einsum("i,i", ref[1], ref[1]))
+    # as a 2-D array and as a sequence of rails
+    for received in (rx, [SampledSignal(v) for v in rx]):
+        delay, aligned = synchronize(ref, received, **kw)
+        assert delay == own[0][0] == own[1][0] == 7
+        assert aligned.shape == ref.shape
+        assert np.array_equal(aligned, [a.samples for _, a in own])
+
+
+def test_a_stack_is_aligned_into_out():
+    # e.g. into the rails of one complex signal, with no other copy
+    ref, rx = _stack()
+    z = np.empty(ref.shape[1], dtype=np.complex128)
+    rows = z.view(np.float64).reshape(-1, 2).T
+    delay, aligned = synchronize(ref, rx, out=rows)
+    assert delay == 7 and aligned is rows
+    assert np.array_equal(z, np.roll(rx[0], -7) + 1j * np.roll(rx[1], -7))
+
+
+def test_one_rail_aligns_into_out_or_a_new_array():
+    ref = _ref_signal()
+    rx = np.roll(ref.samples, 7)
+    delay, aligned = synchronize(ref.samples, rx)
+    assert delay == 7 and isinstance(aligned, np.ndarray)
+    assert np.array_equal(aligned, ref.samples)
+    out = np.empty(ref.samples.size)
+    assert synchronize(ref, rx, out=out)[1] is out
+    assert np.array_equal(out, ref.samples)
+
+
+def test_a_stack_checks_the_summed_correlation():
+    # the Q rail alone is noise, ambiguous at min_peak 0.3; the I rail is a
+    # clean copy. The stack's normalized height is their energy-weighted
+    # mean, about 0.5 here: it passes at 0.3, at the I rail's delay, with
+    # the Q capture rotated by it, and fails at 0.6.
+    rng = np.random.default_rng(21)
+    ref = rng.normal(size=(2, 512))
+    rx = np.stack([np.roll(ref[0], 7), rng.normal(size=512)])
+    rails = [(SampledSignal(r), SampledSignal(v)) for r, v in zip(ref, rx)]
+    assert synchronize(*rails[0], min_peak=0.3)[0] == 7
+    with pytest.raises(AlignmentError, match="below floor"):
+        synchronize(*rails[1], min_peak=0.3)
+    delay, aligned = synchronize(ref, rx, min_peak=0.3)
+    assert delay == 7
+    assert np.array_equal(aligned, np.roll(rx, -7, axis=1))
+    with pytest.raises(AlignmentError, match="below floor"):
+        synchronize(ref, rx, min_peak=0.6)
+
+
+@pytest.mark.parametrize("held", [False, True])
+@pytest.mark.parametrize("rail", [0, 1])
+@pytest.mark.parametrize("where", ["capture", "reference"])
+def test_a_stack_with_a_nan_in_either_rail_fails(where, rail, held):
+    ref, rx = _stack()
+    (rx if where == "capture" else ref)[rail, 100] = np.nan
+    kw = dict(spectrum=_stack_spectrum(ref, rx.shape[1])) if held else {}
+    with pytest.raises(AlignmentError, match="below floor"):
+        synchronize(ref, rx, **kw)
+
+
+@pytest.mark.parametrize("n", [510, 516])
+def test_a_stack_rejects_a_spectrum_of_another_length(n):
+    ref, rx = _stack(512)
+    with pytest.raises(ValueError, match=rf"reference spectrum has "
+                       rf"{n // 2 + 1} bins, a received signal of 512 "
+                       r"samples needs 257"):
+        synchronize(ref, rx, spectrum=_stack_spectrum(ref, n))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda ref, rx: synchronize(ref, rx[:1]),
+     "2 reference rails, 1 received"),
+    (lambda ref, rx: synchronize(ref, [rx[0], rx[1, :-1]]),
+     "the rails of a stack differ in length"),
+    (lambda ref, rx: synchronize(
+        ref, rx, spectrum=_stack_spectrum(ref, 512)[0]),
+     "1 reference spectra, 2 received rails"),
+], ids=["rail-count", "rail-length", "spectrum-count"])
+def test_a_stack_rejects_rails_that_do_not_pair(call, message):
+    ref, rx = _stack(512)
+    with pytest.raises(ValueError, match=message):
+        call(ref, rx)
+
+
 # --- RMS normalization ----------------------------------------------------
 
 def test_rms_normalize_halves():
@@ -424,6 +534,44 @@ def test_snr_rejects_a_non_finite_sample(where, bad):
     (r if where == "reference" else d)[5] = bad
     with pytest.raises(ValueError, match="SNR needs finite signals"):
         snr_db(r, d)
+
+
+def _snr_pairs():
+    rng = np.random.default_rng(22)
+    r = rng.normal(size=(2, 1024))
+    d = 0.7 * r + 0.05 * rng.normal(size=(2, 1024))
+    # two real rails, and the complex signal they make
+    return [(r[0], d[0]), (r[1], d[1]),
+            (r[0] + 1j * r[1], d[0] + 1j * d[1])]
+
+
+def test_snr_with_a_held_reference_power_equals_it_formed():
+    for r, d in _snr_pairs():
+        held = np.mean(np.abs(r) ** 2)
+        assert snr_db(r, d, held) == snr_db(r, d)
+        assert snr_db(r, r, held) == SNR_CEILING_DB
+
+
+@pytest.mark.parametrize("power, message", [
+    (0.0, "all-zero reference or demodulated signal"),
+    (np.nan, "SNR needs finite signals: reference power nan"),
+    (np.inf, "SNR needs finite signals: reference power inf"),
+])
+def test_snr_checks_a_held_reference_power(power, message):
+    for r, d in _snr_pairs():
+        with pytest.raises(ValueError, match=message):
+            snr_db(r, d, power)
+
+
+def test_snr_with_a_held_reference_power_checks_the_demodulated_signal():
+    for r, d in _snr_pairs():
+        held = np.mean(np.abs(r) ** 2)
+        with pytest.raises(ValueError, match="all-zero reference"):
+            snr_db(r, np.zeros_like(d), held)
+        d = d.copy()
+        d[5] = np.nan
+        with pytest.raises(ValueError, match="SNR needs finite signals"):
+            snr_db(r, d, held)
 
 
 # --- PAPR -----------------------------------------------------------------

@@ -20,6 +20,7 @@ from whdpd.dsp import SampledSignal, papr_db, snr_db, synchronize
 from whdpd.experiment import (ExperimentConfig, Workbench,
                               matched_rms_comparison, run_experiment,
                               scale_to_peak, sweep_amplitude_with_fixed_dpd)
+from whdpd.kernels import inner
 from whdpd.learn import (DpdArtifact, FitConfig, artifact_from_dict,
                          artifact_to_dict, dpd_key, pack)
 from whdpd.model import FirBlock, PolyNlBlock, WhModel
@@ -252,11 +253,12 @@ def trained():
 
 def _evaluate_unheld(bench, artifact, v):
     """evaluate as formed with nothing held: both rails pre-distorted on
-    every call, and each capture aligned to its rail as scaled to v."""
-    z = np.stack([r.samples if artifact is None
-                  else learn.apply_dpd(artifact, r).samples
-                  for r in (bench.i_rail, bench.q_rail)])
-    z = scale_to_peak(z, v)
+    every call, each capture aligned on its own to its rail as scaled to v,
+    and the PAPR that of the unscaled rails, which scaling does not move."""
+    pair = np.stack([r.samples if artifact is None
+                     else learn.apply_dpd(artifact, r).samples
+                     for r in (bench.i_rail, bench.q_rail)])
+    z = scale_to_peak(pair, v)
     out = [bench._channel_fn(o)(SampledSignal(z[o])) for o in (0, 1)]
     aligned = [synchronize(SampledSignal(z[o]), out[o])[1].samples
                for o in (0, 1)]
@@ -264,7 +266,7 @@ def _evaluate_unheld(bench, artifact, v):
                              experiment._complex(*aligned)),
             "out_rms": float(np.sqrt(np.mean(out[0].samples ** 2
                                               + out[1].samples ** 2))),
-            "papr_db": papr_db(experiment._complex(*z))}
+            "papr_db": papr_db(experiment._complex(*pair))}
 
 
 def _count_dpd(monkeypatch):
@@ -378,7 +380,7 @@ def test_held_arrays_and_the_rails_are_read_only(trained):
     assert np.array_equal(bench.i_rail.samples + 1j * bench.q_rail.samples,
                           bench.reference)
     held = [a for art in (wh, None)
-            for pair, _, spectra in [bench._predistorted(art)]
+            for pair, _, _, spectra, _ in [bench._predistorted(art)]
             for a in (pair, *pair, *spectra)]
     assert len(held) == 10
     for a in (bench.reference, bench.i_rail.samples, bench.q_rail.samples,
@@ -388,18 +390,20 @@ def test_held_arrays_and_the_rails_are_read_only(trained):
 
 
 def test_held_entry_is_one_stacked_pair_with_its_peak(monkeypatch, trained):
-    # the rails are stacked and their peak reduced once per artifact, not
-    # on every drive
+    # the rails are stacked, and their peak, PAPR and energy reduced once
+    # per artifact, not on every drive
     cfg, arts = trained
     bench = Workbench(cfg)
     n = bench.reference.size
     for art in arts:
         bench.evaluate(art, 0.7)
-        pair, peak, _ = bench._predistorted(art)
+        pair, peak, papr, _, energy = bench._predistorted(art)
         assert pair.shape == (2, n)
         # without an artifact the rails are held as a view, not a copy
         assert np.shares_memory(pair, bench.reference) == (art is None)
         assert peak == float(np.max(np.abs(pair)))
+        assert papr == papr_db(experiment._complex(*pair))
+        assert energy == inner(pair[0], pair[0]) + inner(pair[1], pair[1])
         for row, rail in zip(pair, (bench.i_rail, bench.q_rail)):
             want = (rail.samples if art is None
                     else learn.apply_dpd(art, rail).samples)
@@ -412,6 +416,61 @@ def test_held_entry_is_one_stacked_pair_with_its_peak(monkeypatch, trained):
         monkeypatch.setattr(np, "stack", real)
         assert stacks == []
         assert got == _evaluate_unheld(bench, art, 1.2)
+
+
+def test_held_papr_is_the_scaled_pairs_to_the_last_bits(trained):
+    # PAPR does not depend on the scale; in floating point the unscaled and
+    # scaled pairs' values differ in their last bit at most
+    cfg, arts = trained
+    bench = Workbench(cfg)
+    for art in arts:
+        for v in HELD_DRIVES:
+            got = bench.evaluate(art, v)["papr_db"]
+            pair = bench._predistorted(art)[0]
+            scaled = papr_db(experiment._complex(*scale_to_peak(pair, v)))
+            assert got == pytest.approx(scaled, rel=1e-15, abs=0)
+
+
+def _delayed(channel, d):
+    """channel with its post FIR delayed by d samples."""
+    taps = channel.post_fir.taps
+    return replace(channel, post_fir=FirBlock(
+        np.concatenate([np.zeros(2 * d), taps])))
+
+
+# the perfbench workloads at 1024 symbols: K (the stress workload's large
+# K scaled down), the drives and whether the sweep runs the linear mode
+WORKLOADS = {
+    "paper-train": (15, (0.6, 0.9, 1.3), False),
+    "stress": (101, (0.9, 1.0, 1.1, 1.2, 1.3), False),
+    "sweep-small": (15, (0.2, 0.4, 0.6, 0.9, 1.3), True),
+}
+
+
+@pytest.mark.parametrize("delay", [0, 5])
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_a_capture_pair_aligns_as_each_rail_alone(workload, delay):
+    k, drives, linear = WORKLOADS[workload]
+    cfg = ExperimentConfig(
+        n_symbols=1024, k1=k, k2=k, fit=FitConfig(iterations=20),
+        channel=_delayed(paper_like_preset(seed=7), delay), amplitudes=drives)
+    bench = Workbench(cfg)
+    arts = [None, bench.train(0.9)]
+    if linear:
+        arts.append(bench.train(0.9, freeze_nonlinear=True))
+    for art in arts:
+        for v in drives:
+            got = bench.evaluate(art, v)
+            pair, _, _, spectra, energy = bench._predistorted(art)
+            z = scale_to_peak(pair, v)
+            out = [bench._channel_fn(o)(SampledSignal(z[o])) for o in (0, 1)]
+            own = [synchronize(SampledSignal(pair[o]), out[o])
+                   for o in (0, 1)]
+            joint, aligned = synchronize(pair, out, spectrum=spectra,
+                                         energy=energy)
+            assert joint == own[0][0] == own[1][0] == delay
+            assert np.array_equal(aligned, [a.samples for _, a in own])
+            assert got == _evaluate_unheld(bench, art, v)
 
 
 def test_evaluate_rejects_an_unknown_block_type():

@@ -41,13 +41,15 @@ steps (default 50) at drive 0.9, then makes ten rounds of evaluations
 without and with that DPD at drives 0.6, 0.9 and 1.3. It reports its
 mean evaluation, the mean of the first evaluation of each artifact in a
 round (cold: the artifact differs from the one before) and of the two
-that repeat it (held), its fastest evaluation, and a SHA-256
-digest of every evaluation's SNR, output RMS and PAPR as float hex. At each
-size a second case times a raw ``sweep_amplitude_with_fixed_dpd`` of that
-fit over drives 0.9 to 1.3 in steps of 0.1, as the stress workload runs
-it, ten times, with a digest of its report rows. The tool prints, per case
-and side, the median and quartiles of the runs' means, the fastest
-evaluation or sweep of all runs, and the digests. The runs use only
+that repeat it (held), its fastest evaluation, and two SHA-256 digests
+of every evaluation as float hex: one of its SNR and output RMS, one of its
+PAPR, so that a change that moves only the PAPR's last bits reads apart
+from one that moves the SNR. At each size a second case times a raw
+``sweep_amplitude_with_fixed_dpd`` of that fit over drives 0.9 to 1.3 in
+steps of 0.1, as the stress workload runs it, ten times, with the same two
+digests of its report rows. The tool prints, per case and side, the median
+and quartiles of the runs' means, the fastest evaluation or sweep of all
+runs, and the digests. The runs use only
 ``Workbench``, ``ExperimentConfig``, ``FitConfig``,
 ``sweep_amplitude_with_fixed_dpd`` and ``paper_like_preset``, so they run
 on older trees too.
@@ -120,10 +122,11 @@ cfg = ExperimentConfig(n_symbols=n_symbols, k1=k, k2=k,
                        amplitudes=(0.9, 1.0, 1.1, 1.2, 1.3))
 bench = Workbench(cfg)
 artifact = bench.train(0.9)
-h = hashlib.sha256()
+h, h_papr = hashlib.sha256(), hashlib.sha256()
 def record(m):
-    h.update(" ".join(float(m[key]).hex() for key in
-                      ("snr_db", "out_rms", "papr_db")).encode())
+    h.update(f"{float(m['snr_db']).hex()} {float(m['out_rms']).hex()};"
+             .encode())
+    h_papr.update(f"{float(m['papr_db']).hex()};".encode())
 cold, held = [], []
 for _ in range(rounds):
     if sweep:
@@ -143,7 +146,7 @@ for _ in range(rounds):
 def mean_ms(times):
     return sum(times) / len(times) * 1e3
 out = {"time": mean_ms(cold + held), "min": min(cold + held) * 1e3,
-       "digest": h.hexdigest()}
+       "digest": h.hexdigest(), "papr_digest": h_papr.hexdigest()}
 if held:
     out.update(cold=mean_ms(cold), held=mean_ms(held))
 print(json.dumps(out))
@@ -196,7 +199,7 @@ def main(argv=None):
                  for n in sizes
                  for sweep, what in enumerate(("evaluate",
                                                "raw 5-drive fixed sweep"))}
-        unit, digest = "ms", "digest"
+        unit, digest = "ms", "SNR and RMS digest"
     else:
         k = args.k or K
         cases = {f"N = {n}, K = {k}, {mode} fit, {iterations} steps":
@@ -226,6 +229,9 @@ def main(argv=None):
             print(f"  {side:6s} {med:8.3f} {unit} [{q1:.3f}, {q3:.3f}]"
                   f"{fastest}{steps}  {digest} "
                   f"{', '.join(d[:16] for d in digests)}")
+            if args.evaluate:
+                print("    PAPR digest " + ", ".join(sorted(
+                    {r["papr_digest"][:16] for r in at[side]})))
             for part in ("cold", "held"):
                 if part in at[side][0]:
                     med, q1, q3 = quartiles([r[part] for r in at[side]])
