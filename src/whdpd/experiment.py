@@ -241,14 +241,17 @@ class Workbench:
         # synchronize and SNR stages, which held them all, set the
         # evaluation's peak memory
         del z
-        out_rms = float(np.sqrt(np.mean(out[0].samples ** 2
-                                        + out[1].samples ** 2)))
         # the captures are aligned straight into the complex signal that
         # snr_db reads
         aligned = np.empty(pair.shape[1], dtype=np.complex128)
         synchronize(pair, out, spectrum=spectra, energy=energy,
                     out=_rails(aligned))
-        del out
+        # mean(o_I**2 + o_Q**2), each square formed over its own capture,
+        # which nothing reads after synchronize
+        o_i, o_q = (np.square(o.samples, out=o.samples) for o in out)
+        o_i += o_q
+        out_rms = float(np.sqrt(np.mean(o_i)))
+        del out, o_i, o_q
         snr = snr_db(self.reference, aligned, self._reference_power)
         return {"snr_db": snr, "out_rms": out_rms, "papr_db": papr}
 

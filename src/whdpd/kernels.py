@@ -35,10 +35,12 @@ Dtype: a kernel works in its signal's dtype, which for the FIR kernels is
 the frame's. A one-off frame of a float32 array is float32, and of any
 other array float64. Taps and polynomial coefficients are cast to the
 signal's dtype, since under numpy's promotion rules a float64 scalar
-times a float32 array gives float64. A fit frames its steps in FIT_DTYPE
-(float32), which halves the bytes its GEMMs move; everything outside a
-fit, and a fit's coefficients, gradient vector and optimizer state, stay
-float64.
+times a float32 array gives float64. The WH cascade runs its signal in
+CASCADE_DTYPE (float32), which halves the bytes its GEMMs move: a fit
+frames its steps in it, and learn.apply_dpd casts its rail to it once.
+A fit's coefficients, gradient vector and optimizer state, its final
+forward, and everything outside the cascade (the channel, alignment and
+the metrics) stay float64.
 A fit builds one frame per FIR block's input and one per its output
 gradient, once (model.Plan): the capture is framed once, and a frame
 keeps its cut rows and its band matrix's buffer and views from step to
@@ -97,9 +99,10 @@ _recycle_freed_arrays()
 # and K = 801 with N = 131072
 B = 200
 
-# the dtype of a fit's frames, products and buffers (see model.Plan); its
-# coefficients, gradient vector and optimizer state stay float64
-FIT_DTYPE = np.float32
+# the dtype that the WH cascade runs its signal in: a fit's frames,
+# products and buffers (see model.Plan) and apply_dpd's rail; coefficients,
+# a fit's gradient vector and optimizer state stay float64
+CASCADE_DTYPE = np.float32
 
 
 def aligned(n, lead=0, dtype=np.float64):

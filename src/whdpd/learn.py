@@ -180,7 +180,7 @@ class FitConfig:
 
     A fit stops when its loss changes by less than tol, relative, over
     TOL_WINDOW steps. The losses it reads are the float32 step losses
-    (kernels.FIT_DTYPE), which resolve about 1e-7 of the loss. So a fit
+    (kernels.CASCADE_DTYPE), which resolve about 1e-7 of the loss. So a fit
     whose step loss repeats exactly over TOL_WINDOW steps stops, whatever
     tol is. Summing the step loss in float64 would cost about 4-18 us per
     step at N = 4096 to 16384, and is not done.
@@ -328,11 +328,10 @@ def fit_postestimator(received, reference, init, cfg):
     layout, frames of the FIR blocks' inputs and gradients and the
     buffers that each step's arrays are formed in, see model.Plan) is
     built once per fit, and the steps run in its dtype,
-    kernels.FIT_DTYPE: the history holds their losses. Returns the model
+    kernels.CASCADE_DTYPE: the history holds their losses. Returns the model
     of the step with the least of those losses (so, up to their rounding,
     the final loss never exceeds the initial one), with the final loss and
-    the amplitudes of one float64 forward of that model, as apply_dpd runs
-    it.
+    the amplitudes of one float64 forward of that model on the capture.
     """
     ref = _as_array(reference)
     if ref.shape != received.samples.shape:
@@ -365,8 +364,8 @@ def fit_postestimator(received, reference, init, cfg):
                 break
     state.theta[:] = best_theta
     _unpack(state.parts, model, state.layout)
-    # the returned model as apply_dpd runs it, in float64; by run_cascade,
-    # as wh_forward runs once per fit step
+    # the returned model in float64, by run_cascade without the plan, so
+    # that final_loss and the stored amplitudes carry no float32 rounding
     out, inter = run_cascade(model, received.samples)
     return DpdArtifact(model=model,
                        nl_input_amplitudes=_nl_input_amplitudes(model, inter),
@@ -471,15 +470,33 @@ def indirect_learn(tx_signal, channel, init, cfg):
 
 
 def apply_dpd(artifact, x):
-    """Run the trained cascade as a pre-distorter.
+    """Run the trained cascade as a pre-distorter, in
+    kernels.CASCADE_DTYPE (float32) as a fit step runs it; returns a
+    float64 signal.
 
-    Before each nonlinear block the signal is rescaled so its peak equals
-    the stored training amplitude, and the scale is undone afterwards
-    (f(s*x)/s = x + a s^2 x^3), reproducing the trained operating point of
-    the nonlinearity while preserving overall gain.
+    The rail is cast to float32 once, and the cascade runs on the cast by
+    run_cascade; a DAC of 8 to 16 bits after it keeps fewer bits than
+    float32's 24. Before each nonlinear block the signal is rescaled so
+    its peak equals the stored training amplitude, and the scale is undone
+    afterwards (f(s*x)/s = x + a s^2 x^3), reproducing the trained
+    operating point of the nonlinearity while preserving overall gain.
+    Raises ValueError on a rail that is all zero, or not finite, in
+    float32.
     """
-    if np.max(np.abs(x.samples)) == 0:
+    # a sample above float32's largest value casts to inf: the check below
+    # names it
+    with np.errstate(over="ignore"):
+        y = x.samples.astype(kernels.CASCADE_DTYPE)
+    peak = float(np.max(np.abs(y)))
+    if peak == 0:
         raise ValueError("cannot apply DPD to an all-zero signal")
+    # written so that NaN fails it
+    if not peak < math.inf:
+        top = np.finfo(kernels.CASCADE_DTYPE).max
+        raise ValueError(
+            "cannot apply DPD to a signal that is not finite in float32: "
+            "it runs in float32, and a sample is NaN, infinite or above "
+            f"float32's largest magnitude {top:.4g}")
     amps = artifact.nl_input_amplitudes
 
     def scale(i, y):
@@ -495,7 +512,7 @@ def apply_dpd(artifact, x):
                              "zero")
         return amp / peak
 
-    out, _ = run_cascade(artifact.model, x.samples, scale)
+    out, _ = run_cascade(artifact.model, y, scale)
     return x.with_samples(out)
 
 

@@ -134,7 +134,7 @@ class Plan:
     them per block, which the steps read and the optimizer updates in
     place).
 
-    Every array that a step writes N samples into is of kernels.FIT_DTYPE
+    Every array that a step writes N samples into is of kernels.CASCADE_DTYPE
     and aligned for vector loads (kernels.aligned), and so are x_in and
     ref, the input and the reference, cast into the plan once; parts and
     flat stay float64. For each FIR block, a frame of its input and one of
@@ -151,7 +151,7 @@ class Plan:
     """
 
     def __init__(self, model, x, reference, layout, parts):
-        n, layers, dtype = len(x), model.layers, kernels.FIT_DTYPE
+        n, layers, dtype = len(x), model.layers, kernels.CASCADE_DTYPE
         frames = [[kernels.Frame(n, b.taps.size, dtype)
                    if isinstance(b, FirBlock) else None for b in layers]
                   for _ in range(2)]

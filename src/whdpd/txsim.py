@@ -103,23 +103,45 @@ def quantize(x, bits, full_scale):
     if not 0 < full_scale < np.inf:
         raise ValueError("full_scale must be > 0 and finite")
     delta = 2.0 * full_scale / 2 ** bits
-    idx = np.floor(x.samples / delta)
-    idx = np.clip(idx, -(2 ** (bits - 1)), 2 ** (bits - 1) - 1)
-    return x.with_samples((idx + 0.5) * delta)
+    # (clip(floor(x / delta)) + 0.5) * delta, each step after the first in
+    # place in the first's array
+    idx = np.divide(x.samples, delta)
+    np.floor(idx, out=idx)
+    np.clip(idx, -(2 ** (bits - 1)), 2 ** (bits - 1) - 1, out=idx)
+    idx += 0.5
+    idx *= delta
+    return x.with_samples(idx)
+
+
+def _compress(spec, v, out=None):
+    """The samples of saturate(spec, v), formed in out (which may be v)
+    when given. Each step keeps its formula's order of operations, so the
+    result is bitwise the formula's."""
+    s = spec.saturation_level
+    g = spec.gain
+    if spec.kind == "arctan":
+        # (2 s / pi) * arctan(pi g v / (2 s))
+        y = np.multiply(np.pi * g, v, out=out)
+        y /= 2.0 * s
+        np.arctan(y, out=y)
+        y *= 2.0 * s / np.pi
+    elif spec.kind == "tanh":
+        # s * tanh(g v / s)
+        y = np.multiply(g, v, out=out)
+        y /= s
+        np.tanh(y, out=y)
+        y *= s
+    else:  # cubic: g * (v - v**3 / (3 s s)), v read after v**3 is formed
+        y = np.power(v, 3)
+        y /= 3.0 * s * s
+        y = np.subtract(v, y, out=y if out is None else out)
+        y *= g
+    return y
 
 
 def saturate(spec, x):
     """Elementwise monotone odd compression."""
-    s = spec.saturation_level
-    g = spec.gain
-    v = x.samples
-    if spec.kind == "arctan":
-        y = (2.0 * s / np.pi) * np.arctan(np.pi * g * v / (2.0 * s))
-    elif spec.kind == "tanh":
-        y = s * np.tanh(g * v / s)
-    else:  # cubic
-        y = g * (v - v ** 3 / (3.0 * s * s))
-    return x.with_samples(y)
+    return x.with_samples(_compress(spec, x.samples))
 
 
 def simulate_tx(channel, x, normal=None):
@@ -133,23 +155,29 @@ def simulate_tx(channel, x, normal=None):
     sig = x
     if channel.dac_bits is not None:
         sig = quantize(sig, channel.dac_bits, channel.dac_full_scale)
-    sig = sig.with_samples(fir_same(sig.samples, channel.pre_fir.taps))
-    sig = saturate(channel.saturation, sig)
-    sig = sig.with_samples(fir_same(sig.samples, channel.post_fir.taps))
+    # the FIR outputs are new arrays, the chain's own: each stage after one
+    # is formed in place in it, so neither x nor normal is written
+    v = fir_same(sig.samples, channel.pre_fir.taps)
+    _compress(channel.saturation, v, out=v)
+    v = fir_same(v, channel.post_fir.taps)
     if channel.mzm is not None:
-        sig = sig.with_samples(
-            np.sin(np.pi * sig.samples / (2.0 * channel.mzm.v_pi)))
+        # sin(pi v / (2 v_pi))
+        v *= np.pi
+        v /= 2.0 * channel.mzm.v_pi
+        np.sin(v, out=v)
     if channel.noise_snr_db is not None:
-        n = sig.samples.size
+        n = v.size
         if normal is None:
             normal = np.random.default_rng(channel.seed).standard_normal(n)
         if normal.shape != (n,):
             raise ValueError(f"noise draw has {normal.size} samples, the "
                              f"signal {n}")
-        p_sig = np.mean(sig.samples ** 2)
+        # v**2, and then sigma * normal, formed in one array
+        work = np.square(v)
+        p_sig = np.mean(work)
         p_noise = p_sig * 10.0 ** (-channel.noise_snr_db / 10.0)
-        sig = sig.with_samples(sig.samples + np.sqrt(p_noise) * normal)
-    return sig
+        v += np.multiply(np.sqrt(p_noise), normal, out=work)
+    return sig.with_samples(v)
 
 
 def _lowpass(n_taps, cutoff, echo=0.0, echo_delay=0):

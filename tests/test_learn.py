@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from whdpd.learn import (AdamState, DpdArtifact, FitConfig,
                          fit_postestimator, indirect_learn, loss, pack,
                          rescale_artifact, rescale_nl_coeff, wh_backward)
 from whdpd.model import (FirBlock, PolyNlBlock, WhModel, nl_apply,
-                         wh_forward)
+                         run_cascade, wh_forward)
 
 
 def sig(samples):
@@ -776,7 +777,7 @@ def reference_fit(received, reference, init, cfg):
     (history, best theta, its amplitudes, its float64 loss)."""
     model = init.copy()
     state = AdamState(model, lr_taps=cfg.lr_taps, lr_nl=cfg.lr_nl)
-    x, ref = (s.samples.astype(kernels.FIT_DTYPE)
+    x, ref = (s.samples.astype(kernels.CASCADE_DTYPE)
               for s in (received, reference))
     n = x.size
     history, best = [], (np.inf, None)
@@ -784,7 +785,7 @@ def reference_fit(received, reference, init, cfg):
         assert all(b.taps.base is None for b in model.layers
                    if isinstance(b, FirBlock))
         out, inter = wh_forward(model, x)
-        assert out.dtype == kernels.FIT_DTYPE
+        assert out.dtype == kernels.CASCADE_DTYPE
         j = loss(out, ref) / n
         if j < best[0]:
             best = (j, model.copy())
@@ -880,7 +881,7 @@ def test_fit_builds_its_frames_once(monkeypatch):
     # dtype, whatever the number of steps, and a one-off float64 frame per
     # FIR block in the forward of the returned model
     assert counts == [6, 6]
-    fit = np.dtype(kernels.FIT_DTYPE).name
+    fit = np.dtype(kernels.CASCADE_DTYPE).name
     assert sorted((n, k, np.dtype(d).name) for n, k, d in built) == sorted(
         [(256, 3, fit), (256, 3, fit), (256, 5, fit), (256, 5, fit),
          (256, 3, "float64"), (256, 5, "float64")])
@@ -934,13 +935,13 @@ def test_fit_steps_write_into_the_plans_arrays(monkeypatch):
         # for vector loads that split no cache line
         assert all(a.ctypes.data % 64 == 0 for a in (
             out, inter[1], inter[0].samples, inter[2].samples))
-        assert out.dtype == inter[1].dtype == kernels.FIT_DTYPE
+        assert out.dtype == inter[1].dtype == kernels.CASCADE_DTYPE
         return out, inter
 
     def record_backward(m, inter, reference, **kw):
         seen["ref"].add(id(reference))
         assert reference.ctypes.data % 64 == 0
-        assert reference.dtype == kernels.FIT_DTYPE
+        assert reference.dtype == kernels.CASCADE_DTYPE
         return backward(m, inter, reference, **kw)
 
     def record_step(state, model, grads):
@@ -1344,13 +1345,24 @@ def test_apply_dpd_linear_artifact_matches_forward():
     assert out.rms() / fwd.rms() == pytest.approx(1.0, abs=1e-10)
 
 
+def _stored_scale(artifact):
+    """apply_dpd's scale: each nonlinear block's input taken to the stored
+    amplitude."""
+    amps = artifact.nl_input_amplitudes
+    return lambda i, y: amps[i] / float(np.max(np.abs(y)))
+
+
+# the scaling identities hold for the cascade in any dtype; they are checked
+# in float64, by run_cascade with apply_dpd's scale on a float64 input, and
+# apply_dpd is that cascade on the rail cast to float32 (next tests)
 def test_apply_dpd_at_stored_amplitude_equals_forward():
     rng = np.random.default_rng(16)
     x = sig(rng.normal(size=128))
     art = _trained_artifact(a=0.07, amp=float(np.max(np.abs(x.samples))))
-    out = apply_dpd(art, x)
+    out, _ = run_cascade(art.model, x.samples, _stored_scale(art))
     fwd, _ = wh_forward(art.model, x)
-    assert np.max(np.abs(out.samples - fwd.samples)) < 1e-12
+    assert out.dtype == np.float64
+    assert np.max(np.abs(out - fwd.samples)) < 1e-12
 
 
 def test_apply_dpd_half_amplitude_equals_rescaled_coefficient():
@@ -1358,10 +1370,64 @@ def test_apply_dpd_half_amplitude_equals_rescaled_coefficient():
     x = sig(rng.normal(size=128))
     peak = float(np.max(np.abs(x.samples)))
     art = _trained_artifact(a=0.07, amp=2.0 * peak)  # x at half stored amp
-    out = apply_dpd(art, x)
+    out, _ = run_cascade(art.model, x.samples, _stored_scale(art))
     boosted = WhModel.lnl(5, 5, a=rescale_nl_coeff(0.07, 2.0))
     fwd, _ = wh_forward(boosted, x)
-    assert np.max(np.abs(out.samples - fwd.samples)) < 1e-10
+    assert out.dtype == np.float64
+    assert np.max(np.abs(out - fwd.samples)) < 1e-10
+
+
+def _lnl_artifact(rng, k, amp):
+    model = random_model(rng, (k, k), ({3: -0.12},))
+    return DpdArtifact(model=model, nl_input_amplitudes={1: amp},
+                       final_loss=0.0, iterations=0)
+
+
+@pytest.mark.parametrize("k", [5, 15, 401])
+def test_apply_dpd_is_the_cascade_on_the_float32_rail_bit_for_bit(k):
+    rng = np.random.default_rng(k)
+    x = sig(rng.normal(size=3000))
+    art = _lnl_artifact(rng, k, 1.1)
+    kept = x.samples.copy()
+    out = apply_dpd(art, x)
+    rail = x.samples.astype(np.float32)
+    cascade, inter = run_cascade(art.model, rail, _stored_scale(art))
+    assert all(a.dtype == np.float32 for a in [cascade, *inter])
+    assert out.samples.dtype == np.float64
+    assert np.array_equal(out.samples, cascade)
+    # the caller's rail is left as it was
+    assert np.array_equal(x.samples, kept) and x.samples.dtype == np.float64
+
+
+def test_apply_dpd_at_the_stress_point_is_the_float64_cascade_rounded():
+    # K1 = K2 = 401, as the stress workload fits. Each FIR output sums K
+    # products, whose float32 rounding is at most about K eps32 of its
+    # magnitude, so the bound is K1 + K2 float32 epsilons of the output's
+    # peak; the error reads about 3.3 of them
+    rng = np.random.default_rng(401)
+    x = sig(0.4 * rng.normal(size=4096))
+    art = _lnl_artifact(rng, 401, 1.1)
+    out = apply_dpd(art, x).samples
+    exact, _ = run_cascade(art.model, x.samples, _stored_scale(art))
+    err = np.max(np.abs(out - exact))
+    eps32 = float(np.finfo(np.float32).eps)
+    assert 0 < err <= (401 + 401) * eps32 * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("bad", [1e39, -4e38, np.inf, -np.inf, np.nan])
+def test_apply_dpd_rejects_a_rail_that_is_not_finite_in_float32(bad):
+    art = _trained_artifact(a=0.1, amp=1.0)
+    samples = np.linspace(-1.0, 1.0, 16)
+    samples[5] = bad
+    with warnings.catch_warnings():
+        # the cast's overflow is reported by the error, and warns nothing
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not finite in float32"):
+            apply_dpd(art, sig(samples))
+    # float32's largest magnitude itself casts exactly and passes the check
+    samples[5] = float(np.finfo(np.float32).max)
+    assert apply_dpd(_trained_artifact(a=0.0, amp=1.0),
+                     sig(samples)).samples.dtype == np.float64
 
 
 def test_apply_dpd_rejects_bad_inputs():

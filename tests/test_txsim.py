@@ -9,6 +9,7 @@ import pytest
 
 import whdpd
 from whdpd.dsp import SampledSignal, snr_db
+from whdpd.kernels import fir_same
 from whdpd.model import FirBlock, PolyNlBlock, WhModel, wh_forward
 from whdpd.txsim import (MzmSpec, SaturationSpec, TxChannel, channel_from_dict,
                          channel_to_dict, paper_like_preset, quantize,
@@ -173,6 +174,69 @@ def test_a_held_draw_of_the_wrong_length_raises(size):
                        "the signal 8"):
         simulate_tx(paper_like_preset(), sig(np.ones(8) * 0.3),
                     np.zeros(size))
+
+
+def _chain_by_expressions(channel, v, normal):
+    """simulate_tx's samples written as the chain's formulas, one new
+    array per operation."""
+    if channel.dac_bits is not None:
+        bits = channel.dac_bits
+        delta = 2.0 * channel.dac_full_scale / 2 ** bits
+        idx = np.clip(np.floor(v / delta), -(2 ** (bits - 1)),
+                      2 ** (bits - 1) - 1)
+        v = (idx + 0.5) * delta
+    v = fir_same(v, channel.pre_fir.taps)
+    s, g = channel.saturation.saturation_level, channel.saturation.gain
+    if channel.saturation.kind == "arctan":
+        v = (2.0 * s / np.pi) * np.arctan(np.pi * g * v / (2.0 * s))
+    elif channel.saturation.kind == "tanh":
+        v = s * np.tanh(g * v / s)
+    else:
+        v = g * (v - v ** 3 / (3.0 * s * s))
+    v = fir_same(v, channel.post_fir.taps)
+    if channel.mzm is not None:
+        v = np.sin(np.pi * v / (2.0 * channel.mzm.v_pi))
+    if channel.noise_snr_db is not None:
+        p_noise = np.mean(v ** 2) * 10.0 ** (-channel.noise_snr_db / 10.0)
+        v = v + np.sqrt(p_noise) * normal
+    return v
+
+
+def _stage_channels():
+    preset = paper_like_preset(seed=4)
+    for kind in ("arctan", "tanh", "cubic"):
+        for dac_bits in (preset.dac_bits, None):
+            for mzm in (None, MzmSpec(v_pi=1.3)):
+                for noise in (None, 30.0):
+                    yield replace(preset, saturation=SaturationSpec(
+                        kind, 1.2, 0.9), dac_bits=dac_bits, mzm=mzm,
+                        noise_snr_db=noise)
+
+
+@pytest.mark.parametrize("n", [1, 33, 4096])
+def test_in_place_stages_give_the_expressions_bits(n):
+    # every stage after the first writes into the chain's own array; the
+    # result is bitwise the formulas' own, over each saturation kind, with
+    # and without the DAC, the MZM and the noise
+    x = np.random.default_rng(12).normal(size=n) * 0.5
+    normal = np.random.default_rng(4).standard_normal(n)
+    for ch in _stage_channels():
+        got = simulate_tx(ch, sig(x), normal).samples
+        assert np.array_equal(got, _chain_by_expressions(ch, x, normal))
+
+
+def test_a_read_only_input_passes_through_the_chain_untouched():
+    x = np.random.default_rng(13).normal(size=512) * 0.5
+    normal = np.random.default_rng(5).standard_normal(512)
+    for a in (x, normal):
+        a.flags.writeable = False
+    kept = x.copy(), normal.copy()
+    for ch in _stage_channels():
+        simulate_tx(ch, sig(x), normal)
+        quantize(sig(x), 8, 1.0)
+        saturate(ch.saturation, sig(x))
+        assert np.array_equal(x, kept[0])
+        assert np.array_equal(normal, kept[1])
 
 
 def test_mzm_transfer():

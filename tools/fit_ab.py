@@ -38,19 +38,22 @@ default 8192, 65536 and 2048, with K1 = K2 = 15, 401 and 15; other sizes
 take K = 15; ``--k`` sets K1 = K2 at every size). Each run builds a
 Workbench on the paper-like channel, takes a WH fit of ``--iterations``
 steps (default 50) at drive 0.9, then makes ten rounds of evaluations
-without and with that DPD at drives 0.6, 0.9 and 1.3. It reports its
-mean evaluation, the mean of the first evaluation of each artifact in a
-round (cold: the artifact differs from the one before) and of the two
-that repeat it (held), its fastest evaluation, and two SHA-256 digests
-of every evaluation as float hex: one of its SNR and output RMS, one of its
-PAPR, so that a change that moves only the PAPR's last bits reads apart
-from one that moves the SNR. At each size a second case times a raw
-``sweep_amplitude_with_fixed_dpd`` of that fit over drives 0.9 to 1.3 in
-steps of 0.1, as the stress workload runs it, ten times, with the same two
-digests of its report rows. The tool prints, per case and side, the median
-and quartiles of the runs' means, the fastest evaluation or sweep of all
-runs, and the digests. The runs use only
-``Workbench``, ``ExperimentConfig``, ``FitConfig``,
+without and with that DPD at drives 0.6, 0.9 and 1.3. It reports its mean
+evaluation, the mean of the first evaluation of each artifact in a round
+(cold: the artifact differs from the one before) and of the two that
+repeat it (held), its fastest evaluation, and two SHA-256 digests of every
+evaluation as float hex: one of its SNR and output RMS, one of its PAPR,
+so that a change that moves only the PAPR's last bits reads apart from one
+that moves the SNR. Where the two sides' digests differ, it also prints,
+as the fit mode prints its loss gap, the largest change, over the
+evaluations of each pair's two runs, of ``snr_db`` in dB and of
+``out_rms`` and ``papr_db`` relative to the parent's. At each size a
+second case times a raw ``sweep_amplitude_with_fixed_dpd`` of that fit
+over drives 0.9 to 1.3 in steps of 0.1, as the stress workload runs it,
+ten times, with the same two digests of its report rows. The tool prints,
+per case and side, the median and quartiles of the runs' means, the
+fastest evaluation or sweep of all runs, and the digests. The runs use
+only ``Workbench``, ``ExperimentConfig``, ``FitConfig``,
 ``sweep_amplitude_with_fixed_dpd`` and ``paper_like_preset``, so they run
 on older trees too.
 """
@@ -123,10 +126,12 @@ cfg = ExperimentConfig(n_symbols=n_symbols, k1=k, k2=k,
 bench = Workbench(cfg)
 artifact = bench.train(0.9)
 h, h_papr = hashlib.sha256(), hashlib.sha256()
+values = []
 def record(m):
     h.update(f"{float(m['snr_db']).hex()} {float(m['out_rms']).hex()};"
              .encode())
     h_papr.update(f"{float(m['papr_db']).hex()};".encode())
+    values.append([float(m[c]) for c in ("snr_db", "out_rms", "papr_db")])
 cold, held = [], []
 for _ in range(rounds):
     if sweep:
@@ -146,7 +151,8 @@ for _ in range(rounds):
 def mean_ms(times):
     return sum(times) / len(times) * 1e3
 out = {"time": mean_ms(cold + held), "min": min(cold + held) * 1e3,
-       "digest": h.hexdigest(), "papr_digest": h_papr.hexdigest()}
+       "digest": h.hexdigest(), "papr_digest": h_papr.hexdigest(),
+       "values": values}
 if held:
     out.update(cold=mean_ms(cold), held=mean_ms(held))
 print(json.dumps(out))
@@ -165,6 +171,19 @@ def run(src, script, *args):
 def quartiles(values):
     q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return med, q1, q3
+
+
+def evaluation_gaps(parent, change):
+    """The largest |change - parent| of snr_db (dB) and of out_rms and
+    papr_db relative to the parent's, over the evaluations of each pair's
+    two runs."""
+    gaps = [0.0, 0.0, 0.0]
+    for p, c in zip(parent, change):
+        for pv, cv in zip(p["values"], c["values"]):
+            for j, (a, b) in enumerate(zip(pv, cv)):
+                gap = abs(b - a) / (abs(a) if j and a else 1.0)
+                gaps[j] = max(gaps[j], gap)
+    return gaps
 
 
 def main(argv=None):
@@ -246,6 +265,13 @@ def main(argv=None):
                               for side in ("parent", "change"))
             gap = (change - parent) / parent if parent else math.nan
             print(f"  loss/N, change against parent: {gap:+.3e} relative")
+        if args.evaluate and any(
+                {r[d] for r in at["parent"]} != {r[d] for r in at["change"]}
+                for d in ("digest", "papr_digest")):
+            snr, rms, papr = evaluation_gaps(at["parent"], at["change"])
+            print(f"  change against parent, largest: |d snr_db| {snr:.3e}"
+                  f" dB, |d out_rms| {rms:.3e} and |d papr_db| {papr:.3e}"
+                  " relative")
     if args.json:
         args.json.write_text(json.dumps(runs, indent=1) + "\n")
 
